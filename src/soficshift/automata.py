@@ -7,8 +7,15 @@ preserving the presented sofic shift.
 
 from __future__ import annotations
 
-from .errors import EmptyShiftError
+from collections import deque
+
+from .errors import EmptyShiftError, ResourceLimitError
 from .shiftcore import Edge, LabeledGraph, require_essential, words_of_length
+
+# Cap on the states of the subset construction.  Each state becomes a
+# vertex, and every transition-semigroup element stores one row per
+# vertex, so wider presentations are out of reach downstream anyway.
+SUBSET_STATE_CAP = 2 ** 11
 
 
 def trim_essential(g: LabeledGraph) -> LabeledGraph:
@@ -53,6 +60,12 @@ def make_right_resolving(g: LabeledGraph) -> LabeledGraph:
     successor map, canonicalized as sorted vertex-index tuples, and
     the result is trimmed to its essential part.  The presented sofic
     shift is unchanged.
+
+    Raises
+    ------
+    ResourceLimitError
+        If the construction reaches more than ``SUBSET_STATE_CAP``
+        subset states.
     """
     require_essential(g)
     if g.is_right_resolving():
@@ -62,15 +75,19 @@ def make_right_resolving(g: LabeledGraph) -> LabeledGraph:
     order: list[int] = [full]
     seen = {full}
     edges: list[tuple[int, int, int]] = []  # (src mask, dst mask, label)
-    queue = [full]
+    queue = deque([full])
     while queue:
-        mask = queue.pop(0)
+        mask = queue.popleft()
         for a in g.alphabet:
             nxt = g.successors(a, mask)
             if not nxt:
                 continue
             edges.append((mask, nxt, a))
             if nxt not in seen:
+                if len(order) >= SUBSET_STATE_CAP:
+                    raise ResourceLimitError(
+                        f"subset construction exceeds {SUBSET_STATE_CAP} "
+                        f"subset states of {g.vertex_count} vertices")
                 seen.add(nxt)
                 order.append(nxt)
                 queue.append(nxt)

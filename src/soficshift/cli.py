@@ -13,7 +13,7 @@ import sys
 
 from . import isocheck, krieger, ktheory
 from .automata import make_right_resolving, trim_essential
-from .errors import InputFormatError, ResourceLimitError, SoficError
+from .errors import InputFormatError, SoficError
 from .shiftcore import (LabeledGraph, SftSpec, parse_presentation,
                         sft_to_graph, words_of_length)
 
@@ -144,13 +144,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SoficError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SoficError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

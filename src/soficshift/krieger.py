@@ -21,7 +21,9 @@ internally and exposed as frozensets of vertex indices.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Collection, Iterator
 
 from .automata import make_right_resolving, trim_essential
 from .errors import (AmbiguousLabelError, CoverInvariantError,
@@ -30,6 +32,11 @@ from .shiftcore import (EPSILON, Alphabet, Edge, LabeledGraph, Ray, Word,
                         require_essential)
 
 DEFAULT_SEMIGROUP_CAP = 2 ** 20
+
+# Cap on the rows the semigroup stores: every element holds one row
+# per vertex, so the element cap alone does not bound memory on wide
+# presentations.
+SEMIGROUP_ROW_CAP = 2 ** 22
 
 _REPRESENTATIVE_SEARCH_CAP = 4
 
@@ -146,9 +153,9 @@ class TransitionSemigroup:
         witnesses: list[Word] = [EPSILON]
         index = {ident.rows: 0}
         step: list[list[int]] = []
-        queue = [0]
+        queue = deque([0])
         while queue:
-            i = queue.pop(0)
+            i = queue.popleft()
             row = []
             for a in letters:
                 nxt = relations[i].compose(
@@ -159,6 +166,12 @@ class TransitionSemigroup:
                         raise ResourceLimitError(
                             f"transition semigroup exceeds "
                             f"{max_elements} elements")
+                    if (len(relations) + 1) * n > SEMIGROUP_ROW_CAP:
+                        raise ResourceLimitError(
+                            f"transition semigroup exceeds "
+                            f"{SEMIGROUP_ROW_CAP} stored rows: "
+                            f"{len(relations)} elements of {n} rows "
+                            f"each are stored")
                     j = len(relations)
                     index[nxt.rows] = j
                     relations.append(nxt)
@@ -215,28 +228,34 @@ def transition_semigroup(g: LabeledGraph,
     Raises
     ------
     ResourceLimitError
-        If the closure exceeds ``max_elements`` relations.
+        If the closure exceeds ``max_elements`` relations or
+        ``SEMIGROUP_ROW_CAP`` stored rows (elements times vertices).
     """
     require_essential(g)
     return TransitionSemigroup(g, max_elements)
 
 
-def _survivor_mask(g: LabeledGraph, ray: Ray) -> int:
-    # greatest fixed point of C -> pre_v(C), then pulled back through u
-    def pre_word(word: Word, mask: int) -> int:
-        for a in reversed(word):
-            mask = g.predecessors(a, mask)
-            if not mask:
-                return 0
-        return mask
+def _pull_back(g: LabeledGraph, word: Word, mask: int) -> int:
+    # starts of paths labeled ``word`` ending in ``mask``
+    for a in reversed(word):
+        mask = g.predecessors(a, mask)
+        if not mask:
+            return 0
+    return mask
 
+
+def _period_fixpoint(g: LabeledGraph, period: Word) -> int:
+    # greatest fixed point of C -> pre_v(C), from the full vertex set
     cur = g.full_mask()
     while True:
-        nxt = pre_word(ray.period, cur)
+        nxt = _pull_back(g, period, cur)
         if nxt == cur:
-            break
+            return cur
         cur = nxt
-    return pre_word(ray.preperiod, cur)
+
+
+def _survivor_mask(g: LabeledGraph, ray: Ray) -> int:
+    return _pull_back(g, ray.preperiod, _period_fixpoint(g, ray.period))
 
 
 def survivor_set(g: LabeledGraph, ray: Ray) -> frozenset[int]:
@@ -262,24 +281,81 @@ def survivor_set(g: LabeledGraph, ray: Ray) -> frozenset[int]:
     return _mask_to_set(_survivor_mask(g, ray))
 
 
-def _realized_masks(g: LabeledGraph, sg: TransitionSemigroup) -> set[int]:
-    # A domain is realized as a survivor set exactly when some element
-    # with that domain can keep composing letters forever without the
-    # domain shrinking, i.e. reaches a directed cycle inside the
-    # subgraph of elements sharing its domain.  Iteratively discard
-    # elements with no same-domain successor among the keepers; the
-    # rest can walk forever.
+def _zeros(n: int) -> memoryview:
+    # n zeroed machine integers in one buffer
+    return memoryview(bytearray(8 * n)).cast("q")
+
+
+def _alive_elements(sg: TransitionSemigroup, doms: list[int]) -> bytearray:
+    # An element is alive when it can keep composing letters forever
+    # without its domain shrinking, i.e. it reaches a directed cycle of
+    # the constant-domain subgraph (edges i -> step[i][a] with
+    # doms[step[i][a]] == doms[i]).  Greatest fixed point by reverse-edge
+    # counting, as in trimming: an element dies once every
+    # constant-domain successor has died.  The reverse edges sit in flat
+    # buffers (the predecessors of j are preds[first[j]:first[j + 1]]);
+    # one list per element would leave the heap fragmented for the
+    # stages that follow and raise the peak resident set.
+    n = len(doms)
+    count = _zeros(n)
+    first = _zeros(n + 1)
+    for i, row in enumerate(sg.step):
+        for j in row:
+            if doms[j] == doms[i]:
+                count[i] += 1
+                first[j + 1] += 1
+    for j in range(n):
+        first[j + 1] += first[j]
+    preds = _zeros(first[n])
+    fill = _zeros(n)
+    fill[:] = first[:n]
+    for i, row in enumerate(sg.step):
+        for j in row:
+            if doms[j] == doms[i]:
+                preds[fill[j]] = i
+                fill[j] += 1
+    alive = bytearray([1]) * n
+    dead = [i for i in range(n) if not count[i]]
+    for i in dead:
+        alive[i] = 0
+    while dead:
+        j = dead.pop()
+        for i in preds[first[j]:first[j + 1]]:
+            count[i] -= 1
+            if not count[i]:
+                alive[i] = 0
+                dead.append(i)
+    return alive
+
+
+def _realized_starts(sg: TransitionSemigroup
+                     ) -> tuple[dict[int, int], bytearray]:
+    # A domain is realized as a survivor set exactly when some alive
+    # element has it.  Returns each realized domain mapped to the
+    # smallest alive element with that domain, and the alive flags.
     doms = [rel.domain_mask() for rel in sg.relations]
-    alive = set(range(len(sg.relations)))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            if not any(sg.step[i][a] in alive and doms[sg.step[i][a]] == doms[i]
-                       for a in range(len(g.alphabet))):
-                alive.discard(i)
-                changed = True
-    return {doms[i] for i in alive if doms[i]}
+    alive = _alive_elements(sg, doms)
+    starts: dict[int, int] = {}
+    for i, live in enumerate(alive):
+        if live and doms[i]:
+            starts.setdefault(doms[i], i)
+    return starts, alive
+
+
+def _survivor_family(
+    g: LabeledGraph, masks: Collection[int],
+) -> tuple[frozenset[frozenset[int]],
+           dict[tuple[int, frozenset[int]], frozenset[int]]]:
+    # the realized sets as frozensets, with their letter-prepend map
+    sets = frozenset(_mask_to_set(m) for m in masks)
+    pre: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
+    for m in masks:
+        c = _mask_to_set(m)
+        for a in g.alphabet:
+            p = g.predecessors(a, m)
+            if p:
+                pre[(a, c)] = _mask_to_set(p)
+    return sets, pre
 
 
 def realized_survivor_sets(
@@ -305,16 +381,7 @@ def realized_survivor_sets(
     require_essential(g)
     if sg is None:
         sg = transition_semigroup(g)
-    masks = _realized_masks(g, sg)
-    sets = frozenset(_mask_to_set(m) for m in masks)
-    pre: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
-    for m in masks:
-        c = _mask_to_set(m)
-        for a in g.alphabet:
-            p = g.predecessors(a, m)
-            if p:
-                pre[(a, c)] = _mask_to_set(p)
-    return sets, pre
+    return _survivor_family(g, _realized_starts(sg)[0])
 
 
 def past_partition(
@@ -407,55 +474,69 @@ class KriegerCover:
                             self.semigroup, self.block_of, self.pre_map)
 
 
-def _class_representative(g: LabeledGraph, sg: TransitionSemigroup,
-                          block: frozenset[frozenset[int]]) -> Ray:
-    # Deterministic choice: scan (preperiod, period) pairs ordered by
-    # total length, then preperiod length, then lexicographically, up
-    # to a small cap; fall back to a witness built from a cycle of the
-    # semigroup's constant-domain reachability graph, which always
-    # exists for a realized block.
-    letters = list(g.alphabet)
+def _short_rays(letters: list[int]) -> Iterator[tuple[Word, Word]]:
+    # (preperiod, period) pairs ordered by total length, then preperiod
+    # length, then lexicographically, up to _REPRESENTATIVE_SEARCH_CAP
     for total in range(1, _REPRESENTATIVE_SEARCH_CAP + 1):
         for lu in range(total):
-            lv = total - lu
             for u in itertools.product(letters, repeat=lu):
-                for v in itertools.product(letters, repeat=lv):
-                    ray = Ray(u, v)
-                    if _mask_to_set(_survivor_mask(g, ray)) in block:
-                        return ray
+                for v in itertools.product(letters, repeat=total - lu):
+                    yield u, v
 
-    doms = [rel.domain_mask() for rel in sg.relations]
-    alive = set(range(len(sg.relations)))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            if not any(sg.step[i][a] in alive and doms[sg.step[i][a]] == doms[i]
-                       for a in letters):
-                alive.discard(i)
-                changed = True
-    block_masks = {_set_to_mask(c) for c in block}
-    for start in sorted(alive):
-        if doms[start] not in block_masks:
-            continue
-        # deterministic forever-walk inside the constant-domain
-        # subgraph; the first repeated element closes the period
-        seen = {start: 0}
-        seq: list[int] = []
-        cur = start
-        while True:
-            a = next(b for b in letters
-                     if sg.step[cur][b] in alive
-                     and doms[sg.step[cur][b]] == doms[cur])
-            seq.append(a)
-            cur = sg.step[cur][a]
-            if cur in seen:
-                cut = seen[cur]
-                u = sg.witnesses[start] + tuple(seq[:cut])
-                v = tuple(seq[cut:])
-                return Ray(u, v)
-            seen[cur] = len(seq)
-    raise CoverInvariantError("no representative ray found for a block")
+
+def _cycle_ray(sg: TransitionSemigroup, alive: bytearray, start: int,
+               letters: list[int]) -> Ray:
+    # deterministic forever-walk inside the constant-domain subgraph
+    # from an alive element; the first repeated element closes the
+    # period
+    dom = sg.relations[start].domain_mask()
+    seen = {start: 0}
+    seq: list[int] = []
+    cur = start
+    while True:
+        a = next(b for b in letters
+                 if alive[sg.step[cur][b]]
+                 and sg.relations[sg.step[cur][b]].domain_mask() == dom)
+        seq.append(a)
+        cur = sg.step[cur][a]
+        if cur in seen:
+            cut = seen[cur]
+            return Ray(sg.witnesses[start] + tuple(seq[:cut]),
+                       tuple(seq[cut:]))
+        seen[cur] = len(seq)
+
+
+def _class_representatives(g: LabeledGraph, sg: TransitionSemigroup,
+                           blocks: list[frozenset[frozenset[int]]],
+                           starts: dict[int, int], alive: bytearray
+                           ) -> tuple[Ray, ...]:
+    # Deterministic choice per block: the first short ray in the order
+    # of _short_rays whose survivor set lies in the block; otherwise a
+    # ray read off a cycle of the constant-domain subgraph, walked from
+    # the smallest alive element whose domain lies in the block, which
+    # always exists for a realized block.
+    letters = list(g.alphabet)
+    block_of_mask = {_set_to_mask(c): k
+                     for k, block in enumerate(blocks) for c in block}
+    reps: list[Ray | None] = [None] * len(blocks)
+    missing = len(blocks)
+    fixpoints: dict[Word, int] = {}
+    for u, v in _short_rays(letters):
+        if not missing:
+            break
+        fix = fixpoints.get(v)
+        if fix is None:
+            fix = fixpoints[v] = _period_fixpoint(g, v)
+        k = block_of_mask.get(_pull_back(g, u, fix))
+        if k is not None and reps[k] is None:
+            reps[k] = Ray(u, v)
+            missing -= 1
+
+    for k, block in enumerate(blocks):
+        if reps[k] is None:
+            start = min(starts[_set_to_mask(c)] for c in block)
+            reps[k] = _cycle_ray(sg, alive, start, letters)
+    return tuple(reps)
 
 
 def build_cover(g: LabeledGraph,
@@ -477,7 +558,8 @@ def build_cover(g: LabeledGraph,
     """
     g = make_right_resolving(trim_essential(g))
     sg = transition_semigroup(g, max_semigroup)
-    realized, pre = realized_survivor_sets(g, sg)
+    starts, alive = _realized_starts(sg)
+    realized, pre = _survivor_family(g, starts)
     blocks = past_partition(g, realized, sg)
     block_of = {c: i for i, block in enumerate(blocks) for c in block}
 
@@ -501,7 +583,7 @@ def build_cover(g: LabeledGraph,
             if targets:
                 edges.append(Edge(targets.pop(), i, a))
 
-    reps = tuple(_class_representative(g, sg, block) for block in blocks)
+    reps = _class_representatives(g, sg, blocks, starts, alive)
     cover = KriegerCover(g, tuple(frozenset(b) for b in blocks), reps,
                          tuple(sorted(edges,
                                       key=lambda e: (e.src, e.dst, e.label))),

@@ -1,8 +1,8 @@
 import pytest
 
 from soficshift import (Alphabet, EmptyShiftError, LabeledGraph,
-                        language_equal_upto, make_right_resolving,
-                        trim_essential)
+                        ResourceLimitError, language_equal_upto,
+                        make_right_resolving, trim_essential)
 from conftest import make_even, make_golden, random_corpus
 
 
@@ -60,6 +60,21 @@ class TestDeterminize:
         for g in random_corpus(50, seed=103):
             det = make_right_resolving(trim_essential(g))
             assert language_equal_upto(g, det, 8)
+
+    def test_subset_state_cap(self, monkeypatch):
+        # the subset construction on the twin a-paths reaches the full
+        # set {u, v} and then {u}
+        import soficshift.automata as au
+        a = Alphabet(["a", "b"])
+        g = LabeledGraph(a, ["u", "v"],
+                         [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)])
+        monkeypatch.setattr(au, "SUBSET_STATE_CAP", 2)
+        assert make_right_resolving(g).is_right_resolving()
+        monkeypatch.setattr(au, "SUBSET_STATE_CAP", 1)
+        with pytest.raises(ResourceLimitError,
+                           match="subset construction exceeds 1 subset "
+                                 "states of 2 vertices"):
+            make_right_resolving(g)
 
 
 class TestLanguageCompare:

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import soficshift
 from soficshift.cli import main
+from soficshift.errors import InputFormatError, ResourceLimitError, SoficError
 from conftest import CHAIN_TEXT, EVEN_TEXT, GOLDEN_TEXT
 from test_krieger import EVEN_PUBLISHED_MATRIX, permutation_equivalent
 
@@ -141,3 +148,63 @@ class TestWords:
     def test_golden_length_two(self, write, capsys):
         assert main(["words", "-k", "2", write("gm.shift", GOLDEN_TEXT)]) == 0
         assert capsys.readouterr().out == "0 0\n0 1\n1 0\n"
+
+
+def ladder_text(n):
+    """v0 loops on both letters and also steps to v1 on 1; v1 .. v(n-1)
+    step forward on both letters and v(n-1) returns to v0.  The subset
+    construction reaches all 2**(n-1) sets of the form {v0} plus a set
+    of the others."""
+    lines = ["alphabet 0 1"] + [f"vertex v{i}" for i in range(n)]
+    lines += ["edge v0 v0 0", "edge v0 v0 1", "edge v0 v1 1"]
+    lines += [f"edge v{i} v{i + 1} {a}" for i in range(1, n - 1)
+              for a in (0, 1)]
+    lines += [f"edge v{n - 1} v0 {a}" for a in (0, 1)]
+    return "\n".join(lines) + "\n"
+
+
+# Runs ``soficshift cover`` in a child that first lowers its own
+# address-space limit, so a missing size cap fails with MemoryError
+# there instead of exhausting the machine.
+LIMITED_COVER = textwrap.dedent("""
+    import resource, sys
+    limit = int(sys.argv[1])
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    from soficshift.cli import main
+    sys.exit(main(["cover", sys.argv[2]]))
+""")
+
+
+def run_limited_cover(path, limit_bytes):
+    src = os.path.dirname(os.path.dirname(soficshift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_COVER, str(limit_bytes), path],
+        capture_output=True, text=True, timeout=300, env=env)
+
+
+class TestResourceLimits:
+    def test_error_types_exit_2_through_one_handler(self):
+        assert issubclass(InputFormatError, SoficError)
+        assert issubclass(ResourceLimitError, SoficError)
+
+    def test_wide_determinization_refused_under_memory_limit(self, write):
+        # 13 vertices determinize to 4,096; unbounded, the semigroup
+        # of that presentation grows to gigabytes
+        proc = run_limited_cover(write("ladder13.shift", ladder_text(13)),
+                                 800_000 * 1024)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "error: subset construction exceeds"), proc.stderr
+        assert proc.stdout == ""
+
+    def test_largest_ladder_within_caps_still_builds(self, write):
+        # 11 vertices determinize to 1,024 and the semigroup holds 2,047
+        # elements: about 2.1 million stored rows, under the row cap
+        proc = run_limited_cover(write("ladder11.shift", ladder_text(11)),
+                                 800_000 * 1024)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("classes: 1\n")

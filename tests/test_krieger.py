@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from soficshift import (Alphabet, LabeledGraph, Ray,
+from soficshift import (Alphabet, EmptyShiftError, LabeledGraph, Ray,
                         ResourceLimitError, build_cover, cover_to_dot,
                         edge_matrix, make_right_resolving, past_partition,
                         realized_survivor_sets,
@@ -33,6 +34,81 @@ def pre_word_mask(g, word, mask):
     for a in reversed(word):
         mask = g.predecessors(a, mask)
     return mask
+
+
+def naive_alive(sg):
+    """Slow reference: elements that can compose letters forever
+    without their domain shrinking, by repeated sweeps."""
+    doms = [rel.domain_mask() for rel in sg.relations]
+    letters = range(len(sg.step[0]))
+    alive = set(range(len(sg.relations)))
+    changed = True
+    while changed:
+        changed = False
+        for i in list(alive):
+            if not any(sg.step[i][a] in alive
+                       and doms[sg.step[i][a]] == doms[i] for a in letters):
+                alive.discard(i)
+                changed = True
+    return alive
+
+
+def reference_representative(g, sg, block, cap):
+    """Slow reference for one block's representative: the first ray in
+    (total length, preperiod length, lexicographic) order up to ``cap``
+    whose survivor set lies in the block, else the forever-walk from
+    the smallest alive element whose domain lies in the block."""
+    letters = list(g.alphabet)
+    for total in range(1, cap + 1):
+        for lu in range(total):
+            for u in itertools.product(letters, repeat=lu):
+                for v in itertools.product(letters, repeat=total - lu):
+                    if survivor_set(g, Ray(u, v)) in block:
+                        return Ray(u, v)
+    doms = [rel.domain_mask() for rel in sg.relations]
+    alive = naive_alive(sg)
+    block_masks = {sum(1 << v for v in c) for c in block}
+    start = min(i for i in alive if doms[i] in block_masks)
+    seen = {start: 0}
+    seq = []
+    cur = start
+    while True:
+        a = next(b for b in letters if sg.step[cur][b] in alive
+                 and doms[sg.step[cur][b]] == doms[cur])
+        seq.append(a)
+        cur = sg.step[cur][a]
+        if cur in seen:
+            return Ray(sg.witnesses[start] + tuple(seq[:seen[cur]]),
+                       tuple(seq[seen[cur]:]))
+        seen[cur] = len(seq)
+
+
+def random_presentations(seed):
+    """Seeded random presentations: right-resolving ones over 2, 3 and
+    10 letters, and 2-letter ones that are not right-resolving."""
+    rng = random.Random(seed)
+    shapes = ([("rr", 2, n) for n in range(3, 10)] * 3
+              + [("rr", 3, n) for n in range(2, 7)] * 2
+              + [("rr", 10, n) for n in (2, 3, 4)]
+              + [("nrr", 2, n) for n in range(3, 7)] * 3)
+    out = []
+    for kind, k, n in shapes:
+        while True:
+            if kind == "rr":
+                edges = [(v, rng.randrange(n), a) for v in range(n)
+                         for a in range(k) if rng.random() < 0.8]
+            else:
+                edges = [(s, t, a) for s in range(n) for t in range(n)
+                         for a in range(k) if rng.random() < 0.25]
+            try:
+                g = trim_essential(LabeledGraph(
+                    Alphabet([str(a) for a in range(k)]),
+                    [f"v{i}" for i in range(n)], edges))
+            except EmptyShiftError:
+                continue
+            out.append((f"{kind}{k}_n{n}", g))
+            break
+    return out
 
 
 def permutation_equivalent(a, b):
@@ -99,6 +175,27 @@ class TestTransitionSemigroup:
     def test_size_cap(self, even_graph):
         with pytest.raises(ResourceLimitError):
             transition_semigroup(even_graph, max_elements=3)
+
+    def test_row_cap_counts_rows_per_element(self, monkeypatch, even_graph):
+        # the even shift's semigroup has 7 elements of 2 rows each
+        import soficshift.krieger as kr
+        monkeypatch.setattr(kr, "SEMIGROUP_ROW_CAP", 14)
+        assert len(transition_semigroup(even_graph)) == 7
+        monkeypatch.setattr(kr, "SEMIGROUP_ROW_CAP", 13)
+        with pytest.raises(ResourceLimitError,
+                           match="transition semigroup exceeds 13 stored "
+                                 "rows: 6 elements of 2 rows"):
+            transition_semigroup(even_graph)
+
+    def test_alive_worklist_matches_sweeps(self):
+        import soficshift.krieger as kr
+        for name, g in random_presentations(seed=312):
+            g = make_right_resolving(g)
+            sg = transition_semigroup(g)
+            doms = [rel.domain_mask() for rel in sg.relations]
+            alive = kr._alive_elements(sg, doms)
+            assert {i for i, live in enumerate(alive) if live} == \
+                naive_alive(sg), name
 
 
 class TestRealizedSets:
@@ -264,6 +361,20 @@ class TestBuildCover:
             cover = build_cover(g)
             for i, rep in enumerate(cover.representatives):
                 assert cover.class_of_ray(rep) == i, (name, i, rep)
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_representatives_match_per_block_reference(self, monkeypatch,
+                                                         cap):
+        import soficshift.krieger as kr
+        if cap is not None:
+            monkeypatch.setattr(kr, "_REPRESENTATIVE_SEARCH_CAP", cap)
+        for name, g in random_presentations(seed=311):
+            cover = build_cover(g)
+            expect = tuple(
+                reference_representative(cover.graph, cover.semigroup,
+                                         block, kr._REPRESENTATIVE_SEARCH_CAP)
+                for block in cover.class_sets)
+            assert cover.representatives == expect, name
 
     def test_full_two_shift_cover(self):
         cover = build_cover(make_full(2))
