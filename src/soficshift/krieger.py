@@ -647,12 +647,16 @@ def edge_matrix(cover: KriegerCover) -> EdgeMatrix:
     es = cover.edges
     entries = tuple(tuple(1 if e.dst == f.src else 0 for f in es)
                     for e in es)
-    for i, row in enumerate(entries):
-        if not any(row):
-            raise CoverInvariantError(f"zero row for edge {es[i]}")
-    for j in range(len(es)):
-        if not any(row[j] for row in entries):
-            raise CoverInvariantError(f"zero column for edge {es[j]}")
+    # the row of e is zero iff no edge leaves e.dst, the column of f
+    # iff no edge enters f.src
+    has_out = {e.src for e in es}
+    has_in = {e.dst for e in es}
+    for e in es:
+        if e.dst not in has_out:
+            raise CoverInvariantError(f"zero row for edge {e}")
+    for f in es:
+        if f.src not in has_in:
+            raise CoverInvariantError(f"zero column for edge {f}")
     return EdgeMatrix(entries, es)
 
 

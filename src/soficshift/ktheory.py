@@ -1,5 +1,7 @@
 """Exact integer linear algebra: Smith normal form and the K-groups
-of the cover's edge algebra.
+of the cover's edge algebra.  The K-groups are read off the Smith form
+of the class-sized matrix left by merging equal rows of the edge
+matrix (in-amalgamation), not of the edge matrix itself.
 
 Matrices are plain lists of rows of Python integers, so entries never
 overflow; naive pivoting blows up intermediate entries even on small
@@ -222,19 +224,53 @@ class AbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def k_groups(b: EdgeMatrix | IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
-    """K-theory of the edge algebra of a 0/1 matrix B with no zero row
-    or column: the cokernel and kernel of I - B transposed.
+def _in_amalgamate(rows: IntMatrix) -> IntMatrix:
+    """Merge every group of equal rows of a square matrix into one
+    state, in order of first appearance: the merged state keeps the
+    shared row, with the columns of each group summed.
 
+    Two equal rows of B are two equal columns of I - B^T, and
+    subtracting one from the other leaves e_i - e_j, so the merge keeps
+    the cokernel and the nullity of I - B^T for any square integer
+    matrix (in-amalgamation; Lind & Marcus, *Symbolic Dynamics and
+    Coding*, 2.4 and 7.4).  Rows of a cover's edge matrix are equal
+    exactly when their edges share a range, so it yields the class
+    adjacency matrix counted with multiplicity.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(tuple(row), []).append(i)
+    members = list(groups.values())
+    return [[sum(row[j] for j in cols) for cols in members]
+            for row in groups]
+
+
+def k_groups(b: EdgeMatrix | IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+    """K-theory of the Cuntz-Krieger algebra of a square 0/1 matrix B:
+    the cokernel and kernel of I - B transposed.
+
+    Any square 0/1 matrix is accepted, zero rows and columns included.
     Convention: both groups act on column vectors, so K0 is
     Z^n / (I - B^T) Z^n read off the Smith form's diagonal and K1 is
-    the free kernel, of rank the nullity.
+    the free kernel, of rank the nullity.  Equal rows of B are merged
+    first (:func:`_in_amalgamate`), which keeps both groups, so on a
+    cover's edge matrix the Smith form runs on the class-sized matrix.
 
     Examples
     --------
     >>> k0, k1 = k_groups([[1, 1], [1, 1]])
     >>> k0.render(), k1.render()
     ('0', '0')
+
+    The even shift's edge matrix: edges 1 and 4 end at one class, and
+    so do edges 3 and 5, so five edges amalgamate to three classes.
+
+    >>> b = [[1, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+    ...      [1, 1, 1, 0, 0], [0, 0, 0, 0, 1]]
+    >>> _in_amalgamate(b)
+    [[1, 1, 1], [1, 0, 0], [0, 0, 1]]
+    >>> [g.render() for g in k_groups(b)]
+    ['Z', 'Z']
     """
     rows = b.as_lists() if isinstance(b, EdgeMatrix) else \
         [list(map(int, row)) for row in b]
@@ -243,7 +279,9 @@ def k_groups(b: EdgeMatrix | IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
         raise ValueError("edge matrix must be square")
     if any(x not in (0, 1) for row in rows for x in row):
         raise ValueError("edge matrix entries must be 0 or 1")
-    m = [[(1 if i == j else 0) - rows[j][i] for j in range(n)]
+    a = _in_amalgamate(rows)
+    n = len(a)
+    m = [[(1 if i == j else 0) - a[j][i] for j in range(n)]
          for i in range(n)]
     _, d, _ = smith_normal_form(m)
     diag = [d[i][i] for i in range(n)]

@@ -1,0 +1,13 @@
+import doctest
+
+import pytest
+
+from soficshift import krieger, ktheory, shiftcore
+
+
+@pytest.mark.parametrize("module", [shiftcore, krieger, ktheory],
+                         ids=lambda m: m.__name__)
+def test_doctests_pass(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

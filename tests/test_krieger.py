@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
-from soficshift import (Alphabet, EmptyShiftError, LabeledGraph, Ray,
-                        ResourceLimitError, build_cover, cover_to_dot,
+from soficshift import (Alphabet, CoverInvariantError, EmptyShiftError,
+                        LabeledGraph, Ray, ResourceLimitError, build_cover, cover_to_dot,
                         edge_matrix, make_right_resolving, past_partition,
                         realized_survivor_sets,
                         realized_survivor_sets_bruteforce,
@@ -460,6 +462,58 @@ class TestEdgeMatrix:
             assert all(any(row) for row in b), name
             assert all(any(row[j] for row in b)
                        for j in range(len(b))), name
+
+
+def reference_zero_line(edges):
+    """Slow reference for ``edge_matrix``'s validation: the message for
+    the first zero row, else the first zero column, of the full edge
+    matrix, or None."""
+    entries = [[1 if e.dst == f.src else 0 for f in edges] for e in edges]
+    for i, row in enumerate(entries):
+        if not any(row):
+            return f"zero row for edge {edges[i]}"
+    for j in range(len(edges)):
+        if not any(row[j] for row in entries):
+            return f"zero column for edge {edges[j]}"
+    return None
+
+
+class TestEdgeMatrixValidation:
+    def test_class_without_out_edges(self, even_cover):
+        # dropping the only edge out of class 1 zeroes the row of the
+        # edge into it
+        edges = tuple(e for e in even_cover.edges if e.src != 1)
+        bad = dataclasses.replace(even_cover, edges=edges)
+        with pytest.raises(CoverInvariantError,
+                           match=re.escape("zero row for edge Edge(src=0, "
+                                           "dst=1, label=0)")):
+            edge_matrix(bad)
+
+    def test_class_without_in_edges(self, even_cover):
+        # dropping the only edge into class 1 zeroes the column of the
+        # edge out of it
+        edges = tuple(e for e in even_cover.edges if e.dst != 1)
+        bad = dataclasses.replace(even_cover, edges=edges)
+        with pytest.raises(CoverInvariantError,
+                           match=re.escape("zero column for edge Edge("
+                                           "src=1, dst=0, label=0)")):
+            edge_matrix(bad)
+
+    def test_first_offending_edge_matches_reference(self):
+        for name, g in random_presentations(seed=313):
+            cover = build_cover(g)
+            assert reference_zero_line(cover.edges) is None, name
+            for c in range(cover.class_count):
+                for keep in (lambda e: e.src != c, lambda e: e.dst != c):
+                    edges = tuple(e for e in cover.edges if keep(e))
+                    want = reference_zero_line(edges)
+                    bad = dataclasses.replace(cover, edges=edges)
+                    if want is None:
+                        assert edge_matrix(bad).edges == edges, name
+                        continue
+                    with pytest.raises(CoverInvariantError) as err:
+                        edge_matrix(bad)
+                    assert str(err.value) == want, name
 
 
 class TestUniqueLabeledPath:

@@ -1,12 +1,36 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficshift import (AbelianGroup, build_cover, determinant,
                         edge_matrix, k_groups, smith_normal_form)
-from soficshift.ktheory import identity_matrix, matrix_multiply
+from soficshift.ktheory import (_in_amalgamate, identity_matrix,
+                                matrix_multiply)
 from conftest import make_full
-from test_krieger import EVEN_PUBLISHED_MATRIX
+from test_krieger import EVEN_PUBLISHED_MATRIX, random_presentations
+
+
+def edge_route_k_groups(b):
+    """Slow reference: K0 and K1 from the Smith form of the full
+    I - B^T, with no amalgamation."""
+    n = len(b)
+    m = [[(1 if i == j else 0) - b[j][i] for j in range(n)]
+         for i in range(n)]
+    _, d, _ = smith_normal_form(m)
+    diag = [d[i][i] for i in range(n)]
+    rank = sum(1 for x in diag if x)
+    return (AbelianGroup(n - rank, tuple(x for x in diag if x >= 2)),
+            AbelianGroup(n - rank))
+
+
+def class_adjacency(cover):
+    """A(c, d) = the number of cover edges from class c to class d."""
+    n = cover.class_count
+    a = [[0] * n for _ in range(n)]
+    for e in cover.edges:
+        a[e.src][e.dst] += 1
+    return a
 
 
 def check_snf_contract(m):
@@ -73,6 +97,13 @@ class TestSmithNormalForm:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-30, 30), min_size=cols, max_size=cols),
+        min_size=1, max_size=5)))
+    def test_contract_property(self, m):
+        check_snf_contract(m)
 
 
 class TestAbelianGroup:
@@ -145,3 +176,34 @@ class TestKGroups:
             k_groups([[1, 0, 1], [0, 1, 0]])
         with pytest.raises(ValueError):
             k_groups([[2, 0], [0, 1]])
+
+
+class TestAmalgamation:
+    def test_matches_edge_route_on_random_covers(self):
+        # right-resolving over 2, 3 and 10 letters, and 2-letter inputs
+        # that are not right-resolving
+        for seed in (401, 402):
+            for name, g in random_presentations(seed):
+                b = edge_matrix(build_cover(g)).as_lists()
+                assert k_groups(b) == edge_route_k_groups(b), name
+
+    def test_matches_edge_route_with_repeated_and_zero_rows(self):
+        rng = random.Random(504)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            distinct = [[rng.randint(0, 1) for _ in range(n)]
+                        for _ in range(rng.randint(1, n))]
+            distinct.append([0] * n)
+            b = [list(rng.choice(distinct)) for _ in range(n)]
+            assert k_groups(b) == edge_route_k_groups(b), b
+
+    def test_edge_matrix_amalgamates_to_class_matrix(self, corpus_covers):
+        covers = [build_cover(g) for _, g in random_presentations(403)]
+        covers += [cover for _, cover in corpus_covers]
+        for cover in covers:
+            merged = _in_amalgamate(edge_matrix(cover).as_lists())
+            # merged states follow the first edge into each class
+            order = list(dict.fromkeys(e.dst for e in cover.edges))
+            assert sorted(order) == list(range(cover.class_count))
+            a = class_adjacency(cover)
+            assert merged == [[a[c][d] for d in order] for c in order]
