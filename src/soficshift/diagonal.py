@@ -13,13 +13,36 @@ model through :func:`conj_by_letter` (conjugation by a letter's
 partial isometry) and :func:`post_image` (the support of the letter's
 co-range projection); nothing noncommutative is ever represented
 directly.
+
+Every step through the cover reads the cover's adjacency index
+(:class:`~soficshift.krieger.CoverIndex`: out-edges, out-splits and
+edges by range and label), built once per cover instance on first use,
+so no operation scans the edge tuple.  A cover made by ``with_edges``
+or ``dataclasses.replace`` builds its own index.
+
+Examples
+--------
+The even shift's cover has three classes: the rays 1 1 1 ..., 0 1 1
+1 ... and 0 0 0 ... represent them.  A 1 cannot precede the second
+class, whose rays begin with an odd run of 0s, while 1 0 can precede
+only the second and the third:
+
+>>> from .krieger import build_cover
+>>> from .shiftcore import parse_presentation
+>>> cover = build_cover(parse_presentation(
+...     "alphabet 0 1\\nvertex a\\nvertex b\\n"
+...     "edge a a 1\\nedge a b 0\\nedge b a 0\\n"))
+>>> sorted(word_classes(cover, (1,)))
+[0, 2]
+>>> sorted(word_classes(cover, (1, 0)))
+[1, 2]
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .krieger import KriegerCover, unique_labeled_path
+from .krieger import KriegerCover
 from .shiftcore import EPSILON, Word
 
 Cell = tuple[Word, int]
@@ -28,19 +51,52 @@ Cell = tuple[Word, int]
 def word_classes(cover: KriegerCover, word: Word) -> frozenset[int]:
     """Classes i such that the word can be prepended to class i,
     decided by existence of the unique cover path labeled ``word``
-    ending at i."""
-    if not word:
-        return frozenset(range(cover.class_count))
-    return frozenset(i for i in range(cover.class_count)
-                     if unique_labeled_path(cover, word, i) is not None)
+    ending at i.
+
+    All classes walk backward together, one (range, label) group per
+    step, with the walks that have met kept as one.
+
+    Raises
+    ------
+    AmbiguousLabelError
+        The error of the first class, in index order, whose backward
+        walk meets two edges with one label into one class.
+    """
+    index = cover.index
+    by_range_label = index.by_range_label
+    # current class of the walks -> the classes they started from
+    at: dict[int, list[int]] = {i: [i] for i in range(cover.class_count)}
+    # (first start class, class, letter) of the first ambiguous walk
+    ambiguous: tuple[int, int, int] | None = None
+    for a in reversed(word):
+        nxt: dict[int, list[int]] = {}
+        for cur, starts in at.items():
+            edges = by_range_label.get((cur, a))
+            if edges is None:
+                continue
+            if len(edges) > 1:
+                first = min(starts)
+                if ambiguous is None or first < ambiguous[0]:
+                    ambiguous = (first, cur, a)
+                continue
+            nxt.setdefault(edges[0].src, []).extend(starts)
+        at = nxt
+    if ambiguous is not None:
+        index.edge_into(ambiguous[1], ambiguous[2])  # raises its error
+    return frozenset(i for starts in at.values() for i in starts)
 
 
 def _cell_source(cover: KriegerCover, cell: Cell) -> int | None:
+    # source class of the unique path labeled w ending at class i,
+    # walked backward one (range, label) group at a time
     word, i = cell
-    if not word:
-        return i
-    path = unique_labeled_path(cover, word, i)
-    return None if path is None else path[0].src
+    edge_into = cover.index.edge_into
+    for a in reversed(word):
+        e = edge_into(i, a)
+        if e is None:
+            return None
+        i = e.src
+    return i
 
 
 class ClopenSet:
@@ -62,7 +118,7 @@ class ClopenSet:
             for w, i in cells:
                 if not (0 <= i < cover.class_count):
                     raise ValueError(f"class index {i} out of range")
-                if w and unique_labeled_path(cover, w, i) is None:
+                if w and _cell_source(cover, (w, i)) is None:
                     raise ValueError(
                         f"empty cell: no path labeled {w} into class "
                         f"{i + 1}")
@@ -84,11 +140,12 @@ class ClopenSet:
         """
         if depth < self.depth:
             raise ValueError("cannot refine to a smaller depth")
+        out_edges = self.cover.index.out
         cells = self.cells
         for _ in range(depth - self.depth):
             cells = frozenset((w + (e.label,), e.dst)
                               for w, i in cells
-                              for e in self.cover.out_edges(i))
+                              for e in out_edges.get(i, ()))
         out = ClopenSet.__new__(ClopenSet)
         out.cover = self.cover
         out.depth = depth
@@ -152,16 +209,18 @@ def _merge_once(cover: KriegerCover,
                 cells: frozenset[Cell]) -> frozenset[Cell] | None:
     # Undo one refinement step if the cell set is exactly a union of
     # full out-edge splits; splits of distinct classes are disjoint on
-    # left-resolving covers, so the decomposition is unique.
-    splits = [frozenset((e.label, e.dst) for e in cover.out_edges(i))
-              for i in range(cover.class_count)]
+    # left-resolving covers, so the decomposition is unique.  Only a
+    # class with an edge labeled a into class k can own the pair (a, k).
+    index = cover.index
+    splits, by_range_label = index.out_split, index.by_range_label
     groups: dict[Word, set[tuple[int, int]]] = {}
     for w, i in cells:
         groups.setdefault(w[:-1], set()).add((w[-1], i))
     merged: set[Cell] = set()
     for prefix, pairs in groups.items():
-        chosen = [i for i in range(cover.class_count)
-                  if splits[i] and splits[i] <= pairs]
+        owners = {e.src for a, k in pairs
+                  for e in by_range_label.get((k, a), ())}
+        chosen = [i for i in owners if splits[i] <= pairs]
         if sum(len(splits[i]) for i in chosen) != len(pairs):
             return None
         covered = set()
@@ -218,11 +277,11 @@ def conj_by_letter(cover: KriegerCover, letter: int,
     """Prepend a letter: the rays j x with x in F and j x in the
     shift; models conjugation of F's indicator by the letter's
     partial isometry."""
-    labels_into = {e.dst for e in cover.edges if e.label == letter}
+    by_range_label = cover.index.by_range_label
     cells = []
     for w, i in F.cells:
         src = _cell_source(cover, (w, i))
-        if src is not None and src in labels_into:
+        if src is not None and (src, letter) in by_range_label:
             cells.append(((letter,) + w, i))
     return ClopenSet(cover, F.depth + 1, cells, validate=False)
 
@@ -259,32 +318,16 @@ def express_class_projection(
     :func:`evaluate_projection_formula`.  There are only finitely many
     distinct post images, so one representative word per distinct
     value suffices: the shortest, then lexicographically least.  The
-    trivial all-classes factor is dropped unless it is the only
-    member of M.
+    table of these words does not depend on i and is built once per
+    cover (``cover.range_witnesses``).  The trivial all-classes factor
+    is dropped unless it is the only member of M.
     """
     if not (0 <= i < cover.class_count):
         raise ValueError(f"class index {i} out of range")
-    sg = cover.semigroup
-    reps = [min(block, key=lambda c: (len(c), tuple(sorted(c))))
-            for block in cover.class_sets]
-    masks = [sum(1 << v for v in rep) for rep in reps]
-
-    best: dict[frozenset[int], Word] = {}
-    for idx, rel in enumerate(sg.relations):
-        rng = rel.range_mask()
-        if not rng:
-            continue
-        value = frozenset(c for c, m in enumerate(masks) if rng & m)
-        w = sg.witnesses[idx]
-        cur = best.get(value)
-        if cur is None or (len(w), w) < (len(cur), cur):
-            best[value] = w
-
-    everything = frozenset(range(cover.class_count))
-    pos = sorted((w for v, w in best.items() if i in v),
-                 key=lambda w: (len(w), w))
-    neg = sorted((w for v, w in best.items() if i not in v),
-                 key=lambda w: (len(w), w))
+    best = cover.range_witnesses
+    everything = (1 << cover.class_count) - 1
+    pos = [w for v, w in best.items() if v >> i & 1]
+    neg = [w for v, w in best.items() if not v >> i & 1]
     if len(pos) > 1 and everything in best:
         pos = [w for w in pos if w != best[everything]]
     return tuple(pos), tuple(neg)

@@ -9,16 +9,27 @@ corrupted cover (edges dropped, ranges reassigned, labels duplicated)
 is caught by the family whose identity it breaks, with a witness.
 
 Reports are plain data; rendering is left to callers.
+
+Examples
+--------
+>>> from .krieger import build_cover
+>>> from .shiftcore import parse_presentation
+>>> even = build_cover(parse_presentation(
+...     "alphabet 0 1\\nvertex a\\nvertex b\\n"
+...     "edge a a 1\\nedge a b 0\\nedge b a 0\\n"))
+>>> verify_all(even, max_len=4).failed == 0
+True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import diagonal
 from .diagonal import ClopenSet
 from .errors import AmbiguousLabelError
-from .krieger import KriegerCover
+from .krieger import KriegerCover, _set_to_mask
 from .shiftcore import EPSILON, Edge, Word
 
 FAMILY_ORDER = (
@@ -88,20 +99,17 @@ class _Recorder:
     def count(self, family: str, n: int = 1) -> None:
         self.checked[family] = self.checked.get(family, 0) + n
 
-    def fail(self, family: str, witness: str) -> None:
-        self.witness.setdefault(family, witness)
+    def fail(self, family: str, witness: str | Callable[[], str]) -> None:
+        """Record a failure; only the first witness of a family is
+        kept, and a callable witness is rendered only if it is kept."""
+        if family not in self.witness:
+            self.witness[family] = (witness() if callable(witness)
+                                    else witness)
 
     def result(self, family: str) -> CheckResult:
         w = self.witness.get(family)
         return CheckResult(family, w is None,
                            self.checked.get(family, 0), w)
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _word_str(cover: KriegerCover, word: Word) -> str:
@@ -120,12 +128,10 @@ def _scan_words(cover: KriegerCover, max_len: int,
     """
     rec = _Recorder()
     m = cover.class_count
-    block_of_mask = {_mask(c): i for c, i in cover.block_of.items()}
-    class_masks = [
-        _mask(min(block, key=lambda c: (len(c), tuple(sorted(c)))))
-        for block in cover.class_sets]
+    block_of_mask = {_set_to_mask(c): i for c, i in cover.block_of.items()}
+    class_masks = [_set_to_mask(c) for c in cover.canonical_sets]
     realized_masks = list(block_of_mask)
-    pre_mask = {(a, _mask(c)): _mask(p)
+    pre_mask = {(a, _set_to_mask(c)): _set_to_mask(p)
                 for (a, c), p in cover.pre_map.items()}
     in_edges_by_label: dict[int, list[Edge]] = {}
     for e in cover.edges:
@@ -167,12 +173,13 @@ def _scan_words(cover: KriegerCover, max_len: int,
                 if not a_set and not b_set:
                     continue
 
-                ws = _word_str(cover, w)
+                # witnesses are callables, rendered only when kept
                 if ambiguous is not None:
-                    msg = (f"two paths labeled {ws} end at "
-                           f"E{ambiguous + 1}")
-                    rec.fail("word_path_equivalence", msg)
-                    rec.fail("path_concatenation", msg)
+                    for fam in ("word_path_equivalence",
+                                "path_concatenation"):
+                        rec.fail(fam, lambda: (
+                            f"two paths labeled {_word_str(cover, w)} "
+                            f"end at E{ambiguous + 1}"))
 
                 # word_path_equivalence: existence and source class of
                 # the unique path against the iterated prepend
@@ -180,39 +187,37 @@ def _scan_words(cover: KriegerCover, max_len: int,
                 for i in range(m):
                     amask = P2[class_masks[i]]
                     if bool(amask) != (i in back2):
-                        rec.fail(
-                            "word_path_equivalence",
-                            f"word {ws}, class E{i + 1}: path "
-                            f"{'missing' if amask else 'spurious'}")
+                        rec.fail("word_path_equivalence", lambda: (
+                            f"word {_word_str(cover, w)}, class "
+                            f"E{i + 1}: path "
+                            f"{'missing' if amask else 'spurious'}"))
                     elif amask:
                         blk = block_of_mask.get(amask)
                         if blk != back2[i]:
                             got = ("not realized" if blk is None
                                    else f"E{blk + 1}")
-                            rec.fail(
-                                "word_path_equivalence",
-                                f"word {ws} into E{i + 1}: path source "
-                                f"E{back2[i] + 1}, prepend lands in {got}")
+                            rec.fail("word_path_equivalence", lambda: (
+                                f"word {_word_str(cover, w)} into "
+                                f"E{i + 1}: path source "
+                                f"E{back2[i] + 1}, prepend lands in {got}"))
 
                 # shifted_cylinder_classes: the classes the word can
                 # precede, by paths and by relation ranges
                 rec.count("shifted_cylinder_classes")
                 if b_set != a_set:
-                    rec.fail(
-                        "shifted_cylinder_classes",
-                        f"word {ws}: path classes "
+                    rec.fail("shifted_cylinder_classes", lambda: (
+                        f"word {_word_str(cover, w)}: path classes "
                         f"{sorted(x + 1 for x in b_set)} != relation "
-                        f"classes {sorted(x + 1 for x in a_set)}")
+                        f"classes {sorted(x + 1 for x in a_set)}"))
 
                 # labeled_path_ranges: forward path ends against the
                 # relation route
                 rec.count("labeled_path_ranges")
                 if fwd2 != a_set:
-                    rec.fail(
-                        "labeled_path_ranges",
-                        f"word {ws}: forward ends "
+                    rec.fail("labeled_path_ranges", lambda: (
+                        f"word {_word_str(cover, w)}: forward ends "
                         f"{sorted(x + 1 for x in fwd2)} != relation "
-                        f"classes {sorted(x + 1 for x in a_set)}")
+                        f"classes {sorted(x + 1 for x in a_set)}"))
 
                 # path_concatenation: the source/end relation of the
                 # word factors through its first letter
@@ -226,10 +231,9 @@ def _scan_words(cover: KriegerCover, max_len: int,
                         (s, c) for s, mid in head for mid2, c in tail
                         if mid == mid2)
                     if rel != composed:
-                        rec.fail(
-                            "path_concatenation",
-                            f"word {ws}: path relation differs from "
-                            f"first-letter composition")
+                        rec.fail("path_concatenation", lambda: (
+                            f"word {_word_str(cover, w)}: path relation "
+                            f"differs from first-letter composition"))
 
                 # word_range_projections: clopen post image against
                 # the relation-route class sum
@@ -241,13 +245,12 @@ def _scan_words(cover: KriegerCover, max_len: int,
                                         [(EPSILON, i) for i in a_set],
                                         validate=False)
                         if lhs != rhs:
-                            rec.fail(
-                                "word_range_projections",
-                                f"word {ws}: {lhs.render()} != "
-                                f"{rhs.render()}")
+                            rec.fail("word_range_projections", lambda: (
+                                f"word {_word_str(cover, w)}: "
+                                f"{lhs.render()} != {rhs.render()}"))
                     except AmbiguousLabelError as exc:
-                        rec.fail("word_range_projections",
-                                 f"word {ws}: {exc}")
+                        rec.fail("word_range_projections", lambda: (
+                            f"word {_word_str(cover, w)}: {exc}"))
 
                 nxt[w] = (P2, back2, fwd2)
         frontier = nxt
@@ -261,10 +264,8 @@ def _scan_words(cover: KriegerCover, max_len: int,
 def _derived_splits(cover: KriegerCover) -> list[set[tuple[int, int]]]:
     """Per class, the (letter, target class) split derived from the
     survivor-set prepend map, independent of the cover's edges."""
-    reps = [min(block, key=lambda c: (len(c), tuple(sorted(c))))
-            for block in cover.class_sets]
     splits: list[set[tuple[int, int]]] = [set() for _ in cover.class_sets]
-    for i, rep in enumerate(reps):
+    for i, rep in enumerate(cover.canonical_sets):
         for a in cover.alphabet:
             p = cover.pre_map.get((a, rep))
             if p is not None:
@@ -280,31 +281,50 @@ def _split_str(cover, split) -> str:
         for a, i in sorted(split)) + "}"
 
 
-def _check_class_splitting(cover: KriegerCover, rec: _Recorder) -> None:
-    derived = _derived_splits(cover)
+_SplitOutcome = tuple[bool, str] | None
+
+
+def _split_identities(cover: KriegerCover,
+                      derived: list[set[tuple[int, int]]]
+                      ) -> list[_SplitOutcome]:
+    """Per class i, the split identity E_i = sum over the out-edges e
+    of i of the conjugate of E_r(e) by the letter of e, grounded
+    against the derived split.
+
+    An outcome is None when it holds, else (whether the cover's split
+    already differs from the derived one, the detail for a witness).
+    """
+    outcomes: list[_SplitOutcome] = []
     for i in range(cover.class_count):
-        rec.count("class_edge_splitting")
-        cover_split = {(e.label, e.dst) for e in cover.out_edges(i)}
+        out = cover.out_edges(i)
+        cover_split = {(e.label, e.dst) for e in out}
         if cover_split != derived[i]:
-            rec.fail(
-                "class_edge_splitting",
-                f"class E{i + 1}: cover split "
-                f"{_split_str(cover, cover_split)} != derived split "
-                f"{_split_str(cover, derived[i])}")
+            outcomes.append((True, f"cover split "
+                                   f"{_split_str(cover, cover_split)} != "
+                                   f"derived split "
+                                   f"{_split_str(cover, derived[i])}"))
             continue
         try:
             lhs = diagonal.class_projection(cover, i)
             rhs = diagonal.empty_set(cover)
-            for e in cover.out_edges(i):
+            for e in out:
                 rhs = rhs.union(diagonal.conj_by_letter(
                     cover, e.label,
                     diagonal.class_projection(cover, e.dst)))
-            if lhs != rhs:
-                rec.fail("class_edge_splitting",
-                         f"class E{i + 1}: {lhs.render()} != "
-                         f"{rhs.render()}")
+            outcomes.append(None if lhs == rhs else
+                            (False, f"{lhs.render()} != {rhs.render()}"))
         except AmbiguousLabelError as exc:
-            rec.fail("class_edge_splitting", f"class E{i + 1}: {exc}")
+            outcomes.append((False, str(exc)))
+    return outcomes
+
+
+def _check_class_splitting(cover: KriegerCover, rec: _Recorder,
+                           outcomes: list[_SplitOutcome]) -> None:
+    for i, outcome in enumerate(outcomes):
+        rec.count("class_edge_splitting")
+        if outcome is not None:
+            rec.fail("class_edge_splitting",
+                     f"class E{i + 1}: {outcome[1]}")
 
 
 def _check_conjugation(cover: KriegerCover, rec: _Recorder,
@@ -334,7 +354,9 @@ def _check_conjugation(cover: KriegerCover, rec: _Recorder,
                      f"word {_word_str(cover, nu)}: {exc}")
 
 
-def _check_ck(cover: KriegerCover, rec: _Recorder) -> None:
+def _check_ck(cover: KriegerCover, rec: _Recorder,
+              derived: list[set[tuple[int, int]]],
+              outcomes: list[_SplitOutcome]) -> None:
     edges = cover.edges
     tok = cover.alphabet.tokens
 
@@ -371,32 +393,16 @@ def _check_ck(cover: KriegerCover, rec: _Recorder) -> None:
                     f"overlap on {meet.render()}")
 
     # edge_support_sums: the support projection of each mapped
-    # generator equals the sum over the edges its range emits
-    derived = _derived_splits(cover)
+    # generator equals the sum over the edges its range emits: the
+    # split identity of the range class
     for e in edges:
         rec.count("edge_support_sums")
-        i = e.dst
-        cover_split = {(f.label, f.dst) for f in cover.out_edges(i)}
-        if cover_split != derived[i]:
-            rec.fail(
-                "edge_support_sums",
-                f"edge {edge_str(e)}: class E{i + 1} cover split "
-                f"{_split_str(cover, cover_split)} != derived split "
-                f"{_split_str(cover, derived[i])}")
-            continue
-        try:
-            lhs = diagonal.class_projection(cover, i)
-            rhs = diagonal.empty_set(cover)
-            for f in cover.out_edges(i):
-                rhs = rhs.union(diagonal.conj_by_letter(
-                    cover, f.label,
-                    diagonal.class_projection(cover, f.dst)))
-            if lhs != rhs:
-                rec.fail("edge_support_sums",
-                         f"edge {edge_str(e)}: {lhs.render()} != "
-                         f"{rhs.render()}")
-        except AmbiguousLabelError as exc:
-            rec.fail("edge_support_sums", f"edge {edge_str(e)}: {exc}")
+        outcome = outcomes[e.dst]
+        if outcome is not None:
+            split_differs, detail = outcome
+            if split_differs:
+                detail = f"class E{e.dst + 1} {detail}"
+            rec.fail("edge_support_sums", f"edge {edge_str(e)}: {detail}")
 
     # range_projection_partition: the mapped range projections tile
     # the whole space; grounded against the prepend-derived cells
@@ -520,7 +526,8 @@ def verify_ck_relations(cover: KriegerCover) -> tuple[CheckResult, ...]:
     pairwise orthogonality of range projections, the support sums over
     same-source edges, and the partition of the whole space."""
     rec = _Recorder()
-    _check_ck(cover, rec)
+    derived = _derived_splits(cover)
+    _check_ck(cover, rec, derived, _split_identities(cover, derived))
     return _results(rec, ("range_projection_orthogonality",
                           "edge_support_sums",
                           "range_projection_partition"))
@@ -554,9 +561,11 @@ def verify_all(cover: KriegerCover, max_len: int = 8) -> Report:
     """
     rec = _scan_words(cover, max_len, clopen_len=min(max_len,
                                                      CLOPEN_WORD_CAP))
-    _check_class_splitting(cover, rec)
+    derived = _derived_splits(cover)
+    outcomes = _split_identities(cover, derived)
+    _check_class_splitting(cover, rec, outcomes)
     _check_conjugation(cover, rec, max_len)
-    _check_ck(cover, rec)
+    _check_ck(cover, rec, derived, outcomes)
     _check_edge_sum_structural(cover, rec)
     _check_round_trips(cover, rec)
     _check_projection_formulas(cover, rec)

@@ -23,7 +23,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Iterator
+from functools import cached_property
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .automata import make_right_resolving, trim_essential
 from .errors import (AmbiguousLabelError, CoverInvariantError,
@@ -410,6 +412,50 @@ def past_partition(
     return blocks
 
 
+class CoverIndex:
+    """Adjacency of one tuple of cover edges, each group in edge order.
+
+    ``out[i]`` and ``into[i]`` hold the edges leaving and entering
+    class i, ``by_range_label[(i, a)]`` the edges labeled a into class
+    i (one on a left-resolving cover), and ``out_split[i]`` the
+    (label, range) pairs of the edges leaving class i.  Classes without
+    such edges are absent from the maps.
+    """
+
+    __slots__ = ("out", "into", "by_range_label", "out_split")
+
+    def __init__(self, edges: Iterable[Edge]):
+        out: dict[int, list[Edge]] = {}
+        into: dict[int, list[Edge]] = {}
+        by_range_label: dict[tuple[int, int], list[Edge]] = {}
+        for e in edges:
+            out.setdefault(e.src, []).append(e)
+            into.setdefault(e.dst, []).append(e)
+            by_range_label.setdefault((e.dst, e.label), []).append(e)
+        self.out = {i: tuple(es) for i, es in out.items()}
+        self.into = {i: tuple(es) for i, es in into.items()}
+        self.by_range_label = {k: tuple(es)
+                               for k, es in by_range_label.items()}
+        self.out_split = {i: frozenset((e.label, e.dst) for e in es)
+                          for i, es in out.items()}
+
+    def edge_into(self, dst: int, label: int) -> Edge | None:
+        """The edge labeled ``label`` into class ``dst``, or None.
+
+        Raises
+        ------
+        AmbiguousLabelError
+            If there are two, which only corrupted covers exhibit.
+        """
+        edges = self.by_range_label.get((dst, label))
+        if edges is None:
+            return None
+        if len(edges) > 1:
+            raise AmbiguousLabelError(
+                f"two edges labeled {label} into class {dst + 1}")
+        return edges[0]
+
+
 @dataclass(frozen=True)
 class KriegerCover:
     """The left Krieger cover of a sofic shift.
@@ -420,6 +466,12 @@ class KriegerCover:
     periodic ray in the class.  Edges are sorted by (source, range,
     label) and the graph is left-resolving: no two edges with the same
     label enter the same class.
+
+    Adjacency queries read ``index``, a :class:`CoverIndex` of
+    ``edges`` built on first use and kept on this instance, as are
+    ``canonical_sets`` and ``range_witnesses``.  A cover made by
+    :meth:`with_edges` or ``dataclasses.replace`` is a new instance and
+    builds its own.
     """
 
     graph: LabeledGraph
@@ -439,6 +491,49 @@ class KriegerCover:
     def class_count(self) -> int:
         return len(self.class_sets)
 
+    @cached_property
+    def index(self) -> CoverIndex:
+        """The adjacency index of ``edges``."""
+        return CoverIndex(self.edges)
+
+    @cached_property
+    def canonical_sets(self) -> tuple[frozenset[int], ...]:
+        """Per class, its least survivor set: fewest vertices, then
+        least sorted indices."""
+        return tuple(min(block, key=_set_key) for block in self.class_sets)
+
+    @cached_property
+    def range_witnesses(self) -> Mapping[int, Word]:
+        """Each distinct set of classes met by the range of a semigroup
+        element, as a bitmask over class indices, mapped to its
+        shortest, then lexicographically least, witness word, in that
+        order of the words.
+
+        A class is met when the range meets its canonical survivor set;
+        for a word this is the set of classes the word can precede.
+        Elements with an empty range are left out.
+        """
+        sg = self.semigroup
+        masks = [_set_to_mask(c) for c in self.canonical_sets]
+        value_of: dict[int, int] = {}
+        best: dict[int, Word] = {}
+        for rel, w in zip(sg.relations, sg.witnesses):
+            rng = rel.range_mask()
+            if not rng:
+                continue
+            value = value_of.get(rng)
+            if value is None:
+                value = 0
+                for c, m in enumerate(masks):
+                    if rng & m:
+                        value |= 1 << c
+                value_of[rng] = value
+            cur = best.get(value)
+            if cur is None or (len(w), w) < (len(cur), cur):
+                best[value] = w
+        return MappingProxyType(dict(sorted(
+            best.items(), key=lambda item: (len(item[1]), item[1]))))
+
     def class_of_ray(self, ray: Ray) -> int | None:
         """The class containing the ray, or None if it is not in the
         shift."""
@@ -446,19 +541,14 @@ class KriegerCover:
         return self.block_of.get(s)
 
     def out_edges(self, i: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == i]
+        return list(self.index.out.get(i, ()))
 
     def in_edges(self, i: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == i]
+        return list(self.index.into.get(i, ()))
 
     def is_left_resolving(self) -> bool:
-        seen = set()
-        for e in self.edges:
-            key = (e.dst, e.label)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return all(len(es) == 1
+                   for es in self.index.by_range_label.values())
 
     def with_edges(self, edges) -> "KriegerCover":
         """Copy with a replaced edge tuple, skipping validation.
@@ -590,8 +680,9 @@ def build_cover(g: LabeledGraph,
                          sg, block_of, pre)
     if not cover.is_left_resolving():
         raise CoverInvariantError("cover is not left-resolving")
+    index = cover.index
     for i in range(cover.class_count):
-        if not cover.out_edges(i) or not cover.in_edges(i):
+        if i not in index.out or i not in index.into:
             raise CoverInvariantError(f"class {i + 1} is stranded")
     return cover
 
@@ -665,8 +756,9 @@ def unique_labeled_path(cover: KriegerCover, word: Word,
     """The unique cover path labeled ``word`` ending at class
     ``target``, or None if there is none.
 
-    Found by walking backward from the target; left-resolving
-    uniqueness makes each backward step deterministic.
+    Found by walking backward from the target through the cover's
+    index; left-resolving uniqueness makes each backward step
+    deterministic.
 
     Raises
     ------
@@ -676,18 +768,15 @@ def unique_labeled_path(cover: KriegerCover, word: Word,
     """
     if not word:
         raise ValueError("word must be nonempty")
+    edge_into = cover.index.edge_into
     path: list[Edge] = []
     cur = target
     for a in reversed(word):
-        candidates = [e for e in cover.edges
-                      if e.dst == cur and e.label == a]
-        if len(candidates) > 1:
-            raise AmbiguousLabelError(
-                f"two edges labeled {a} into class {cur + 1}")
-        if not candidates:
+        e = edge_into(cur, a)
+        if e is None:
             return None
-        path.append(candidates[0])
-        cur = candidates[0].src
+        path.append(e)
+        cur = e.src
     return tuple(reversed(path))
 
 

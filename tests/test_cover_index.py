@@ -1,0 +1,329 @@
+"""The cover's adjacency index and its cached tables against the slow
+references they replaced.
+
+The references below are the per-edge scans that ``out_edges``,
+``in_edges``, ``unique_labeled_path`` and the clopen engine ran before
+the index existed, and the per-class semigroup pass of
+``express_class_projection``.  They are compared with the indexed code
+on seeded random covers, intact and under every corruption kind.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from soficshift import (build_cover, corrupt_cover, diagonal,
+                        express_class_projection, krieger,
+                        unique_labeled_path, verify_all, word_classes)
+from soficshift.diagonal import ClopenSet
+from soficshift.errors import AmbiguousLabelError
+from soficshift.isocheck import CORRUPTION_KINDS
+from soficshift.krieger import KriegerCover
+from soficshift.shiftcore import Edge
+from conftest import corpus_graphs
+from test_krieger import random_presentations
+
+
+# --- slow references: scans of the whole edge tuple -------------------
+
+def slow_out_edges(cover, i):
+    return [e for e in cover.edges if e.src == i]
+
+
+def slow_in_edges(cover, i):
+    return [e for e in cover.edges if e.dst == i]
+
+
+def slow_unique_labeled_path(cover, word, target):
+    if not word:
+        raise ValueError("word must be nonempty")
+    path = []
+    cur = target
+    for a in reversed(word):
+        candidates = [e for e in cover.edges
+                      if e.dst == cur and e.label == a]
+        if len(candidates) > 1:
+            raise AmbiguousLabelError(
+                f"two edges labeled {a} into class {cur + 1}")
+        if not candidates:
+            return None
+        path.append(candidates[0])
+        cur = candidates[0].src
+    return tuple(reversed(path))
+
+
+def slow_word_classes(cover, word):
+    if not word:
+        return frozenset(range(cover.class_count))
+    return frozenset(i for i in range(cover.class_count)
+                     if slow_unique_labeled_path(cover, word, i)
+                     is not None)
+
+
+def slow_cell_source(cover, cell):
+    word, i = cell
+    if not word:
+        return i
+    path = slow_unique_labeled_path(cover, word, i)
+    return None if path is None else path[0].src
+
+
+def slow_refine(self, depth):
+    if depth < self.depth:
+        raise ValueError("cannot refine to a smaller depth")
+    cells = self.cells
+    for _ in range(depth - self.depth):
+        cells = frozenset((w + (e.label,), e.dst)
+                          for w, i in cells
+                          for e in slow_out_edges(self.cover, i))
+    out = ClopenSet.__new__(ClopenSet)
+    out.cover = self.cover
+    out.depth = depth
+    out.cells = cells
+    return out
+
+
+def slow_merge_once(cover, cells):
+    splits = [frozenset((e.label, e.dst) for e in slow_out_edges(cover, i))
+              for i in range(cover.class_count)]
+    groups = {}
+    for w, i in cells:
+        groups.setdefault(w[:-1], set()).add((w[-1], i))
+    merged = set()
+    for prefix, pairs in groups.items():
+        chosen = [i for i in range(cover.class_count)
+                  if splits[i] and splits[i] <= pairs]
+        if sum(len(splits[i]) for i in chosen) != len(pairs):
+            return None
+        covered = set()
+        for i in chosen:
+            covered |= splits[i]
+        if covered != pairs:
+            return None
+        merged.update((prefix, i) for i in chosen)
+    return frozenset(merged)
+
+
+def slow_conj_by_letter(cover, letter, F):
+    labels_into = {e.dst for e in cover.edges if e.label == letter}
+    cells = []
+    for w, i in F.cells:
+        src = slow_cell_source(cover, (w, i))
+        if src is not None and src in labels_into:
+            cells.append(((letter,) + w, i))
+    return ClopenSet(cover, F.depth + 1, cells, validate=False)
+
+
+def slow_express_class_projection(cover, i):
+    if not (0 <= i < cover.class_count):
+        raise ValueError(f"class index {i} out of range")
+    sg = cover.semigroup
+    reps = [min(block, key=lambda c: (len(c), tuple(sorted(c))))
+            for block in cover.class_sets]
+    masks = [sum(1 << v for v in rep) for rep in reps]
+    best = {}
+    for idx, rel in enumerate(sg.relations):
+        rng = rel.range_mask()
+        if not rng:
+            continue
+        value = frozenset(c for c, m in enumerate(masks) if rng & m)
+        w = sg.witnesses[idx]
+        cur = best.get(value)
+        if cur is None or (len(w), w) < (len(cur), cur):
+            best[value] = w
+    everything = frozenset(range(cover.class_count))
+    pos = sorted((w for v, w in best.items() if i in v),
+                 key=lambda w: (len(w), w))
+    neg = sorted((w for v, w in best.items() if i not in v),
+                 key=lambda w: (len(w), w))
+    if len(pos) > 1 and everything in best:
+        pos = [w for w in pos if w != best[everything]]
+    return tuple(pos), tuple(neg)
+
+
+def use_slow_references(monkeypatch):
+    """Route every indexed code path through the edge scans, and make
+    any remaining read of the index fail."""
+    monkeypatch.setattr(KriegerCover, "out_edges", slow_out_edges)
+    monkeypatch.setattr(KriegerCover, "in_edges", slow_in_edges)
+    monkeypatch.setattr(krieger, "unique_labeled_path",
+                        slow_unique_labeled_path)
+    monkeypatch.setattr(diagonal, "word_classes", slow_word_classes)
+    monkeypatch.setattr(diagonal, "_cell_source", slow_cell_source)
+    monkeypatch.setattr(diagonal, "_merge_once", slow_merge_once)
+    monkeypatch.setattr(diagonal, "conj_by_letter", slow_conj_by_letter)
+    monkeypatch.setattr(diagonal, "express_class_projection",
+                        slow_express_class_projection)
+    monkeypatch.setattr(ClopenSet, "refine", slow_refine)
+
+    def no_index(self):
+        raise AssertionError("the slow route read the cover index")
+
+    # a property is a data descriptor, so it also hides an index that
+    # an earlier call cached on the instance
+    monkeypatch.setattr(KriegerCover, "index", property(no_index))
+
+
+# --- covers -----------------------------------------------------------
+
+def duplicate_two_labels(cover):
+    """The cover with a second source added to two (range, label)
+    groups, so that walks can meet different ambiguities, or None."""
+    added, seen = [], set()
+    for e in cover.edges:
+        if (e.dst, e.label) in seen:
+            continue
+        for src in range(cover.class_count):
+            if src != e.src and Edge(src, e.dst, e.label) not in cover.edges:
+                added.append(Edge(src, e.dst, e.label))
+                seen.add((e.dst, e.label))
+                break
+        if len(added) == 2:
+            return cover.with_edges(cover.edges + tuple(added))
+    return None
+
+
+def seeded_covers():
+    """Named corpus covers and seeded random covers over at most three
+    letters, intact, under every corruption kind, and with two labels
+    duplicated."""
+    graphs = corpus_graphs() + [
+        (name, g) for name, g in random_presentations(515)
+        if len(g.alphabet) <= 3]
+    out = []
+    for name, g in graphs:
+        cover = build_cover(g)
+        out.append((name, cover))
+        for kind in CORRUPTION_KINDS:
+            try:
+                out.append((f"{name}/{kind}", corrupt_cover(cover, kind)))
+            except ValueError:
+                pass
+        twice = duplicate_two_labels(cover)
+        if twice is not None:
+            out.append((f"{name}/two-duplicate-labels", twice))
+    return out
+
+
+@pytest.fixture(scope="module")
+def covers():
+    return seeded_covers()
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the message of its ambiguity error."""
+    try:
+        return ("value", f(*args))
+    except AmbiguousLabelError as exc:
+        return ("ambiguous", str(exc))
+
+
+def all_words(cover, max_len):
+    letters = list(cover.alphabet)
+    return [w for n in range(1, max_len + 1)
+            for w in itertools.product(letters, repeat=n)]
+
+
+# --- tests ------------------------------------------------------------
+
+class TestIndexMatchesScans:
+    def test_covers_include_every_corruption(self, covers):
+        names = {name.split("/")[1] for name, _ in covers if "/" in name}
+        assert names == {*CORRUPTION_KINDS, "two-duplicate-labels"}
+        assert len(covers) > 40
+
+    def test_out_and_in_edges(self, covers):
+        for name, cover in covers:
+            for i in range(cover.class_count + 1):
+                assert cover.out_edges(i) == slow_out_edges(cover, i), name
+                assert cover.in_edges(i) == slow_in_edges(cover, i), name
+            split = cover.index.out_split
+            for i, edges in cover.index.out.items():
+                assert split[i] == {(e.label, e.dst) for e in edges}, name
+
+    def test_left_resolving_flag(self, covers):
+        for name, cover in covers:
+            pairs = [(e.dst, e.label) for e in cover.edges]
+            assert cover.is_left_resolving() == (
+                len(pairs) == len(set(pairs))), name
+
+    def test_unique_labeled_path(self, covers):
+        for name, cover in covers:
+            for w in all_words(cover, 3):
+                for i in range(cover.class_count):
+                    assert outcome(unique_labeled_path, cover, w, i) == \
+                        outcome(slow_unique_labeled_path, cover, w, i), \
+                        (name, w, i)
+
+    def test_word_classes_with_the_same_errors(self, covers):
+        errors = 0
+        for name, cover in covers:
+            for w in [()] + all_words(cover, 4):
+                got = outcome(word_classes, cover, w)
+                assert got == outcome(slow_word_classes, cover, w), \
+                    (name, w)
+                errors += got[0] == "ambiguous"
+        # the duplicated labels must actually be met
+        assert errors > 0
+
+    def test_projection_words(self, covers):
+        for name, cover in covers:
+            for i in range(cover.class_count):
+                assert express_class_projection(cover, i) == \
+                    slow_express_class_projection(cover, i), (name, i)
+
+    def test_canonical_sets(self, covers):
+        for name, cover in covers:
+            assert cover.canonical_sets == tuple(
+                min(block, key=lambda c: (len(c), tuple(sorted(c))))
+                for block in cover.class_sets), name
+
+
+class TestVerifyMatchesSlowRoute:
+    def test_reports_identical(self, covers, monkeypatch):
+        # the slow route takes seconds per cover beyond 24 classes
+        covers = [(name, cover) for name, cover in covers
+                  if cover.class_count <= 24]
+        fast = [verify_all(cover, max_len=3).render()
+                for _, cover in covers]
+        use_slow_references(monkeypatch)
+        slow = [verify_all(cover, max_len=3).render()
+                for _, cover in covers]
+        for (name, _), a, b in zip(covers, fast, slow):
+            assert a == b, name
+        assert any("FAIL" in r for r in fast)
+
+    def test_slow_route_never_reads_the_index(self, even_cover,
+                                               monkeypatch):
+        use_slow_references(monkeypatch)
+        assert verify_all(even_cover, max_len=3).failed == 0
+        with pytest.raises(AssertionError):
+            even_cover.index
+
+
+class TestIndexLifetime:
+    def test_edited_covers_build_their_own(self, covers):
+        for name, cover in covers:
+            parent_index = cover.index
+            parent_table = cover.range_witnesses
+            edited = [cover.with_edges(cover.edges[1:]),
+                      cover.with_edges(cover.edges[::-1]),
+                      dataclasses.replace(cover, edges=cover.edges[1:]),
+                      dataclasses.replace(cover)]
+            for bad in edited:
+                assert "index" not in vars(bad), name
+                assert "range_witnesses" not in vars(bad), name
+                assert bad.index is not parent_index, name
+                assert bad.range_witnesses is not parent_table, name
+                for i in range(bad.class_count):
+                    assert bad.out_edges(i) == slow_out_edges(bad, i)
+                    assert bad.in_edges(i) == slow_in_edges(bad, i)
+
+    def test_index_built_once_per_cover(self, even_cover):
+        assert even_cover.index is even_cover.index
+        assert even_cover.range_witnesses is even_cover.range_witnesses
+
+    def test_tables_are_read_only(self, even_cover):
+        with pytest.raises(TypeError):
+            even_cover.range_witnesses[0] = ()

@@ -1,6 +1,6 @@
 import pytest
 
-from soficshift import (build_cover, corrupt_cover, verify_all,
+from soficshift import (Alphabet, build_cover, corrupt_cover, verify_all,
                         verify_ck_relations, verify_edge_sum_hypotheses,
                         verify_round_trips)
 from soficshift.isocheck import CORRUPTION_KINDS, FAMILY_ORDER
@@ -112,6 +112,27 @@ class TestNegativeControls:
     def test_witness_only_on_failure(self, even_cover):
         for result in verify_all(even_cover, max_len=5).results:
             assert result.witness is None
+
+    def test_passing_checks_render_nothing(self, even_cover, monkeypatch):
+        def no_render(self, word):
+            raise AssertionError("rendered a word for a passing check")
+
+        monkeypatch.setattr(Alphabet, "render", no_render)
+        assert verify_all(even_cover, max_len=6).failed == 0
+
+    def test_split_families_word_one_outcome(self, even_cover):
+        # the split identity is decided once per class; each family
+        # keeps its own count and wording
+        bad = corrupt_cover(even_cover, "reassign-range")
+        results = {r.name: r for r in verify_all(bad, max_len=4).results}
+        split = ("cover split {0->E2, 1->E2, 1->E3} != derived split "
+                 "{0->E2, 1->E1, 1->E3}")
+        assert results["class_edge_splitting"].witness == \
+            f"class E1: {split}"
+        assert results["edge_support_sums"].witness == \
+            f"edge E2--0-->E1: class E1 {split}"
+        assert results["class_edge_splitting"].checked == 3
+        assert results["edge_support_sums"].checked == 5
 
     def test_unknown_corruption_rejected(self, even_cover):
         with pytest.raises(ValueError):
