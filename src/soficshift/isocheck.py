@@ -29,7 +29,7 @@ from typing import Callable
 from . import diagonal
 from .diagonal import ClopenSet
 from .errors import AmbiguousLabelError
-from .krieger import KriegerCover, _set_to_mask
+from .krieger import KriegerCover
 from .shiftcore import EPSILON, Edge, Word
 
 FAMILY_ORDER = (
@@ -116,143 +116,178 @@ def _word_str(cover: KriegerCover, word: Word) -> str:
     return cover.alphabet.render(word)
 
 
+def _class_numbers(mask: int) -> list[int]:
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _scan_words(cover: KriegerCover, max_len: int,
                 clopen_len: int) -> _Recorder:
-    """One pass over all admissible words up to ``max_len`` computing
-    the word-indexed families.
+    """The word-indexed families over all admissible words up to
+    ``max_len``, by a dynamic program over (length, scan state).
 
-    Per word the relation route keeps the backward preimage of every
-    realized survivor set, extended one letter at a time through the
-    prepend map; the graph route keeps the unique backward path data
-    and the forward path ends on the cover.
+    A word's core is the relation route's preimage of every realized
+    survivor set, extended one letter at a time through the prepend
+    map, and the graph route's backward map (end class -> source class
+    of the unique path) and forward path ends.  Its scan state adds
+    its first letter, its tail's core (None once the tail was pruned)
+    and the class where two paths labeled the word end, if any.  Every
+    word-indexed check depends only on the scan state, so it is decided
+    once per (length, state) pair and counted once per word reaching
+    the pair.  Pairs are taken in the order of their least words: by
+    length, then lexicographically, with pruned words (those that
+    precede no class by either route) never extended.  A family's
+    witness is thus the least word of its first failing pair, the first
+    failing word.  Up to ``clopen_len`` the state also holds the word
+    itself, so ``word_range_projections`` runs the clopen engine once
+    per word.
     """
     rec = _Recorder()
     m = cover.class_count
-    block_of_mask = {_set_to_mask(c): i for c, i in cover.block_of.items()}
-    class_masks = [_set_to_mask(c) for c in cover.canonical_sets]
-    realized_masks = list(block_of_mask)
-    pre_mask = {(a, _set_to_mask(c)): _set_to_mask(p)
-                for (a, c), p in cover.pre_map.items()}
-    in_edges_by_label: dict[int, list[Edge]] = {}
-    for e in cover.edges:
-        in_edges_by_label.setdefault(e.label, []).append(e)
+    t = cover.scan_tables
     letters = list(cover.alphabet)
-    all_classes = frozenset(range(m))
+    # core id -> (preimage per slot, back (-1: no path), fwd, relation
+    # classes, path classes), the last three as bitmasks over classes
+    cores: list[tuple] = []
+    ids: dict[tuple, int] = {}
+    steps: dict[tuple[int, int], tuple[int | None, int | None]] = {}
 
-    # frontier state per word: (P, back, fwd) where P maps realized
-    # mask -> preimage mask, back maps end class -> source class of
-    # the unique path, fwd is the set of forward path ends
-    start = ({mm: mm for mm in realized_masks},
-             {i: i for i in range(m)}, all_classes)
-    frontier: dict[Word, tuple] = {EPSILON: start}
-    rels: dict[Word, frozenset] = {
-        EPSILON: frozenset((i, i) for i in range(m))}
+    def core(P: tuple, back: tuple, fwd: int) -> int | None:
+        a_set = sum(1 << i for i, r in enumerate(t.slot) if P[r])
+        b_set = sum(1 << i for i, s in enumerate(back) if s >= 0)
+        if not a_set and not b_set:
+            return None
+        key = (P, back, fwd, a_set, b_set)
+        if key not in ids:
+            ids[key] = len(cores)
+            cores.append(key)
+        return ids[key]
 
-    for _ in range(max_len):
-        nxt: dict[Word, tuple] = {}
-        for word, (P, back, fwd) in frontier.items():
+    def step(cid: int, a: int) -> tuple[int | None, int | None]:
+        # the core after letter a (None if pruned), and the class where
+        # two paths meet on a, the last such in edge order
+        if (cid, a) not in steps:
+            P, back, fwd = cores[cid][:3]
+            back2 = [-1] * m
+            fwd2 = 0
+            met = None
+            for dst, srcs in t.into[a]:
+                live = [s for s in srcs if back[s] >= 0]
+                if live:
+                    back2[dst] = min(back[s] for s in live)
+                    if len(live) > 1 and (met is None
+                                          or (live[-1], dst) > met):
+                        met = (live[-1], dst)
+                if any(fwd >> s & 1 for s in srcs):
+                    fwd2 |= 1 << dst
+            steps[cid, a] = (
+                core(tuple(P[r] if r >= 0 else 0 for r in t.pre[a]),
+                     tuple(back2), fwd2),
+                None if met is None else met[1])
+        return steps[cid, a]
+
+    start = core(tuple(t.block_of_mask), tuple(range(m)), (1 << m) - 1)
+    # (core, first letter, tail core, ambiguous class, word up to
+    # clopen_len) -> [word count, least word]
+    frontier: dict[tuple, list] = {
+        (start, None, None, None, EPSILON): [1, EPSILON]}
+    for k in range(1, max_len + 1):
+        nxt: dict[tuple, list] = {}
+        for (cid, first, tail, _, _), (n, least) in frontier.items():
             for a in letters:
-                w = word + (a,)
-                P2 = {mm: (P[pre_mask[(a, mm)]]
-                           if (a, mm) in pre_mask else 0)
-                      for mm in realized_masks}
-                back2: dict[int, int] = {}
-                ambiguous = None
-                for e in in_edges_by_label.get(a, ()):
-                    if e.src in back:
-                        if e.dst in back2:
-                            ambiguous = e.dst
-                            back2[e.dst] = min(back2[e.dst], back[e.src])
-                        else:
-                            back2[e.dst] = back[e.src]
-                fwd2 = frozenset(e.dst for e in in_edges_by_label.get(a, ())
-                                 if e.src in fwd)
-                a_set = frozenset(i for i in range(m)
-                                  if P2[class_masks[i]])
-                b_set = frozenset(back2)
-                if not a_set and not b_set:
+                child, amb = step(cid, a)
+                if child is None:
                     continue
+                if k == 1:
+                    # the tail of a one-letter word is the empty word
+                    first2, tail2 = a, start
+                else:
+                    first2 = first
+                    tail2 = None if tail is None else step(tail, a)[0]
+                w = least + (a,)
+                key = (child, first2, tail2, amb,
+                       w if k <= clopen_len else None)
+                if key in nxt:
+                    nxt[key][0] += n
+                else:
+                    nxt[key] = [n, w]
 
-                # witnesses are callables, rendered only when kept
-                if ambiguous is not None:
-                    for fam in ("word_path_equivalence",
-                                "path_concatenation"):
-                        rec.fail(fam, lambda: (
-                            f"two paths labeled {_word_str(cover, w)} "
-                            f"end at E{ambiguous + 1}"))
+        for (cid, first, tail, amb, _), (n, w) in nxt.items():
+            P, back, fwd, a_set, b_set = cores[cid]
 
-                # word_path_equivalence: existence and source class of
-                # the unique path against the iterated prepend
-                rec.count("word_path_equivalence", m)
-                for i in range(m):
-                    amask = P2[class_masks[i]]
-                    if bool(amask) != (i in back2):
+            # witnesses are callables, rendered only when kept
+            if amb is not None:
+                for fam in ("word_path_equivalence", "path_concatenation"):
+                    rec.fail(fam, lambda: (
+                        f"two paths labeled {_word_str(cover, w)} "
+                        f"end at E{amb + 1}"))
+
+            # word_path_equivalence: existence and source class of
+            # the unique path against the iterated prepend
+            rec.count("word_path_equivalence", m * n)
+            for i in range(m):
+                amask = P[t.slot[i]]
+                if bool(amask) != (back[i] >= 0):
+                    rec.fail("word_path_equivalence", lambda: (
+                        f"word {_word_str(cover, w)}, class "
+                        f"E{i + 1}: path "
+                        f"{'missing' if amask else 'spurious'}"))
+                elif amask:
+                    blk = t.block_of_mask.get(amask)
+                    if blk != back[i]:
+                        got = ("not realized" if blk is None
+                               else f"E{blk + 1}")
                         rec.fail("word_path_equivalence", lambda: (
-                            f"word {_word_str(cover, w)}, class "
-                            f"E{i + 1}: path "
-                            f"{'missing' if amask else 'spurious'}"))
-                    elif amask:
-                        blk = block_of_mask.get(amask)
-                        if blk != back2[i]:
-                            got = ("not realized" if blk is None
-                                   else f"E{blk + 1}")
-                            rec.fail("word_path_equivalence", lambda: (
-                                f"word {_word_str(cover, w)} into "
-                                f"E{i + 1}: path source "
-                                f"E{back2[i] + 1}, prepend lands in {got}"))
+                            f"word {_word_str(cover, w)} into "
+                            f"E{i + 1}: path source "
+                            f"E{back[i] + 1}, prepend lands in {got}"))
 
-                # shifted_cylinder_classes: the classes the word can
-                # precede, by paths and by relation ranges
-                rec.count("shifted_cylinder_classes")
-                if b_set != a_set:
-                    rec.fail("shifted_cylinder_classes", lambda: (
-                        f"word {_word_str(cover, w)}: path classes "
-                        f"{sorted(x + 1 for x in b_set)} != relation "
-                        f"classes {sorted(x + 1 for x in a_set)}"))
+            # shifted_cylinder_classes: the classes the word can
+            # precede, by paths and by relation ranges
+            rec.count("shifted_cylinder_classes", n)
+            if b_set != a_set:
+                rec.fail("shifted_cylinder_classes", lambda: (
+                    f"word {_word_str(cover, w)}: path classes "
+                    f"{_class_numbers(b_set)} != relation "
+                    f"classes {_class_numbers(a_set)}"))
 
-                # labeled_path_ranges: forward path ends against the
-                # relation route
-                rec.count("labeled_path_ranges")
-                if fwd2 != a_set:
-                    rec.fail("labeled_path_ranges", lambda: (
-                        f"word {_word_str(cover, w)}: forward ends "
-                        f"{sorted(x + 1 for x in fwd2)} != relation "
-                        f"classes {sorted(x + 1 for x in a_set)}"))
+            # labeled_path_ranges: forward path ends against the
+            # relation route
+            rec.count("labeled_path_ranges", n)
+            if fwd != a_set:
+                rec.fail("labeled_path_ranges", lambda: (
+                    f"word {_word_str(cover, w)}: forward ends "
+                    f"{_class_numbers(fwd)} != relation "
+                    f"classes {_class_numbers(a_set)}"))
 
-                # path_concatenation: the source/end relation of the
-                # word factors through its first letter
-                rel = frozenset((src, end) for end, src in back2.items())
-                rels[w] = rel
-                if len(w) > 1:
-                    rec.count("path_concatenation")
-                    head = rels.get(w[:1], frozenset())
-                    tail = rels.get(w[1:], frozenset())
-                    composed = frozenset(
-                        (s, c) for s, mid in head for mid2, c in tail
-                        if mid == mid2)
-                    if rel != composed:
-                        rec.fail("path_concatenation", lambda: (
-                            f"word {_word_str(cover, w)}: path relation "
-                            f"differs from first-letter composition"))
+            # path_concatenation: the source/end relation of the word
+            # factors through its first letter; each relation is a map
+            # end class -> source class, so they compose by indexing
+            if k > 1:
+                rec.count("path_concatenation", n)
+                head = cores[step(start, first)[0]][1]
+                mid = cores[tail][1] if tail is not None else (-1,) * m
+                if back != tuple(head[x] if x >= 0 else -1 for x in mid):
+                    rec.fail("path_concatenation", lambda: (
+                        f"word {_word_str(cover, w)}: path relation "
+                        f"differs from first-letter composition"))
 
-                # word_range_projections: clopen post image against
-                # the relation-route class sum
-                if len(w) <= clopen_len:
-                    rec.count("word_range_projections")
-                    try:
-                        lhs = diagonal.post_image(cover, w)
-                        rhs = ClopenSet(cover, 0,
-                                        [(EPSILON, i) for i in a_set],
-                                        validate=False)
-                        if lhs != rhs:
-                            rec.fail("word_range_projections", lambda: (
-                                f"word {_word_str(cover, w)}: "
-                                f"{lhs.render()} != {rhs.render()}"))
-                    except AmbiguousLabelError as exc:
+            # word_range_projections: clopen post image against the
+            # relation-route class sum
+            if k <= clopen_len:
+                rec.count("word_range_projections")
+                try:
+                    lhs = diagonal.post_image(cover, w)
+                    rhs = ClopenSet(cover, 0,
+                                    [(EPSILON, i) for i in range(m)
+                                     if a_set >> i & 1],
+                                    validate=False)
+                    if lhs != rhs:
                         rec.fail("word_range_projections", lambda: (
-                            f"word {_word_str(cover, w)}: {exc}"))
-
-                nxt[w] = (P2, back2, fwd2)
+                            f"word {_word_str(cover, w)}: "
+                            f"{lhs.render()} != {rhs.render()}"))
+                except AmbiguousLabelError as exc:
+                    rec.fail("word_range_projections", lambda: (
+                        f"word {_word_str(cover, w)}: {exc}"))
         frontier = nxt
     for fam in ("word_path_equivalence", "shifted_cylinder_classes",
                 "labeled_path_ranges", "path_concatenation",
@@ -556,8 +591,10 @@ def verify_all(cover: KriegerCover, max_len: int = 8) -> Report:
     """Run every check family and aggregate the outcomes.
 
     Word-indexed families run over all admissible words up to
-    ``max_len``; families that go through the clopen engine cap the
-    word length at 5 to stay inside desk-scale budgets.
+    ``max_len``, counted per word but decided once per (length, scan
+    state) pair (see ``_scan_words``); families that go through the
+    clopen engine run per word and cap the word length at 5 to stay
+    inside desk-scale budgets.
     """
     rec = _scan_words(cover, max_len, clopen_len=min(max_len,
                                                      CLOPEN_WORD_CAP))

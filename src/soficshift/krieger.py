@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .automata import make_right_resolving, trim_essential
 from .errors import (AmbiguousLabelError, CoverInvariantError,
@@ -456,6 +456,23 @@ class CoverIndex:
         return edges[0]
 
 
+class ScanTables(NamedTuple):
+    """The tables the word scan of ``isocheck`` reads.
+
+    A slot is a position in ``block_of_mask``, which maps each realized
+    survivor set, as a bitmask, to its class.  ``slot[i]`` is the slot
+    of class i's canonical set, ``pre[a][r]`` the slot of the prepend
+    of letter a to slot r (-1 if empty), and ``into[a]`` holds, per
+    class entered by edges labeled a, (class, their sources in edge
+    order).
+    """
+
+    block_of_mask: dict[int, int]
+    slot: tuple[int, ...]
+    pre: tuple[tuple[int, ...], ...]
+    into: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+
+
 @dataclass(frozen=True)
 class KriegerCover:
     """The left Krieger cover of a sofic shift.
@@ -469,9 +486,9 @@ class KriegerCover:
 
     Adjacency queries read ``index``, a :class:`CoverIndex` of
     ``edges`` built on first use and kept on this instance, as are
-    ``canonical_sets`` and ``range_witnesses``.  A cover made by
-    :meth:`with_edges` or ``dataclasses.replace`` is a new instance and
-    builds its own.
+    ``canonical_sets``, ``range_witnesses`` and ``scan_tables``.  A
+    cover made by :meth:`with_edges` or ``dataclasses.replace`` is a
+    new instance and builds its own.
     """
 
     graph: LabeledGraph
@@ -533,6 +550,24 @@ class KriegerCover:
                 best[value] = w
         return MappingProxyType(dict(sorted(
             best.items(), key=lambda item: (len(item[1]), item[1]))))
+
+    @cached_property
+    def scan_tables(self) -> ScanTables:
+        """The word scan's tables, with ``index``'s edges grouped by
+        label."""
+        block_of_mask = {_set_to_mask(c): i for c, i in self.block_of.items()}
+        slot_of = {mask: r for r, mask in enumerate(block_of_mask)}
+        pre = tuple(
+            tuple(slot_of[_set_to_mask(self.pre_map[a, c])]
+                  if (a, c) in self.pre_map else -1 for c in self.block_of)
+            for a in self.alphabet)
+        into: list[list] = [[] for _ in self.alphabet]
+        for (dst, a), es in self.index.by_range_label.items():
+            into[a].append((dst, tuple(e.src for e in es)))
+        return ScanTables(
+            block_of_mask,
+            tuple(slot_of[_set_to_mask(c)] for c in self.canonical_sets),
+            pre, tuple(map(tuple, into)))
 
     def class_of_ray(self, ray: Ray) -> int | None:
         """The class containing the ray, or None if it is not in the

@@ -5,7 +5,9 @@ The references below are the per-edge scans that ``out_edges``,
 ``in_edges``, ``unique_labeled_path`` and the clopen engine ran before
 the index existed, and the per-class semigroup pass of
 ``express_class_projection``.  They are compared with the indexed code
-on seeded random covers, intact and under every corruption kind.
+on seeded random covers, intact and under every corruption kind; the
+slow route of ``verify_all`` also takes the per-word scan kept in
+``test_word_scan``.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import itertools
 import pytest
 
 from soficshift import (build_cover, corrupt_cover, diagonal,
-                        express_class_projection, krieger,
+                        express_class_projection, isocheck, krieger,
                         unique_labeled_path, verify_all, word_classes)
 from soficshift.diagonal import ClopenSet
 from soficshift.errors import AmbiguousLabelError
@@ -156,13 +158,18 @@ def use_slow_references(monkeypatch):
     monkeypatch.setattr(diagonal, "express_class_projection",
                         slow_express_class_projection)
     monkeypatch.setattr(ClopenSet, "refine", slow_refine)
+    # imported here because test_word_scan imports this module
+    from test_word_scan import slow_scan_words
+    monkeypatch.setattr(isocheck, "_scan_words", slow_scan_words)
 
     def no_index(self):
         raise AssertionError("the slow route read the cover index")
 
-    # a property is a data descriptor, so it also hides an index that
-    # an earlier call cached on the instance
+    # a property is a data descriptor, so it also hides an index, or
+    # scan tables built from it, that an earlier call cached on the
+    # instance
     monkeypatch.setattr(KriegerCover, "index", property(no_index))
+    monkeypatch.setattr(KriegerCover, "scan_tables", property(no_index))
 
 
 # --- covers -----------------------------------------------------------

@@ -1,0 +1,124 @@
+"""Compare the CLI outputs of two checkouts on the benchmark's corpora.
+
+  python3 tools/compare_outputs.py OLD_CHECKOUT NEW_CHECKOUT
+  python3 tools/compare_outputs.py OLD NEW --seeds 1 2 --workloads verify_words
+
+For every workload seed the inputs of each workload are drawn from
+``bench/corpus.py`` (of this checkout) and each distinct input is run
+through ``cover``, ``matrix``, ``ktheory`` and ``verify``, intact and
+with each ``--corrupt`` kind.  ``verify`` takes the workload's own
+``--max-word-len`` on the verify workloads; on the ``cover_ktheory``
+inputs it takes 4, or 2 over more than three letters.  Each checkout
+runs every call in one child process that imports ``soficshift`` from
+that checkout's ``src``.  Standard output, standard error and the exit
+code of each call are compared; the differences are printed and the
+exit code is 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
+
+import corpus  # noqa: E402
+
+# Run in the child: read argv lists from stdin as JSON, write one
+# [exit code, stdout, stderr] per call.
+CHILD = """
+import contextlib, io, json, sys
+from soficshift import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"crash: {type(exc).__name__}: {exc}"
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def calls(seeds, workloads, directory: str) -> list[list[str]]:
+    """The CLI calls on every distinct input of the workloads' corpora
+    for the seeds, in a stable order; input files go to
+    ``directory``."""
+    seen: dict[str, str] = {}
+    out = []
+    for workload in workloads:
+        for seed in seeds:
+            for p in corpus.inputs(workload, seed):
+                text = p.text()
+                if text in seen:
+                    continue
+                path = seen[text] = os.path.join(
+                    directory, f"{len(seen):03d}_{p.name}.shift")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                if workload == "verify_words":
+                    length = "8"
+                elif workload == "verify_classes" or len(p.tokens) <= 3:
+                    length = "4"
+                else:
+                    length = "2"
+                verify = ["verify", path, "--max-word-len", length]
+                out += [["cover", path], ["matrix", path], ["ktheory", path],
+                        verify]
+                out += [verify + ["--corrupt", kind]
+                        for kind in corpus.CORRUPTION_KINDS]
+    return out
+
+
+def run(checkout: str, argvs: list[list[str]]) -> list[list]:
+    src = os.path.join(os.path.abspath(checkout), "src")
+    if not os.path.isfile(os.path.join(src, "soficshift", "cli.py")):
+        raise SystemExit(f"no soficshift source under {src}")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", CHILD],
+                          input=json.dumps(argvs), capture_output=True,
+                          text=True, env=env, check=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old")
+    ap.add_argument("new")
+    ap.add_argument("--seeds", type=int, nargs="+",
+                    default=list(range(1, 11)))
+    ap.add_argument("--workloads", nargs="+", choices=corpus.WORKLOADS,
+                    default=list(corpus.WORKLOADS))
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as directory:
+        argvs = calls(args.seeds, args.workloads, directory)
+        old = run(args.old, argvs)
+        new = run(args.new, argvs)
+        differ = 0
+        for call, a, b in zip(argvs, old, new):
+            if a != b:
+                differ += 1
+                shown = " ".join(os.path.basename(x) if x.startswith(
+                    directory) else x for x in call)
+                print(f"DIFFER {shown}")
+                for what, x, y in zip(("exit", "stdout", "stderr"), a, b):
+                    if x != y:
+                        print(f"  {what}: {x!r}\n    -> {y!r}")
+    inputs = len({call[1] for call in argvs})
+    print(f"{len(argvs)} calls on {inputs} inputs compared, "
+          f"{differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
