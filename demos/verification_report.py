@@ -2,8 +2,9 @@
 
 Each check family compares a quantity computed from the cover's edges
 (or the clopen-set engine built on them) against the same quantity
-recomputed from survivor sets and the transition semigroup.  Damaging
-the cover makes the two routes disagree, and the report says where.
+recomputed from survivor sets and their letter-prepend map, never the
+transition semigroup.  Damaging the cover makes the two routes
+disagree, and the report says where.
 """
 
 from soficshift import (build_cover, corrupt_cover, parse_presentation,

@@ -3,10 +3,11 @@ relating a shift's diagonal model to its cover's edge algebra.
 
 Every check family compares two independently computed objects: a
 "graph route" derived from the cover's edges and the clopen-set
-engine, against a "relation route" derived from survivor sets and the
-transition semigroup.  A correct cover passes every family; a
-corrupted cover (edges dropped, ranges reassigned, labels duplicated)
-is caught by the family whose identity it breaks, with a witness.
+engine, against a "relation route" derived from survivor sets and
+their letter-prepend map, never the transition semigroup.  A correct
+cover passes every family; a corrupted cover (edges dropped, ranges
+reassigned, labels duplicated) is caught by the family whose identity
+it breaks, with a witness.
 
 Reports are plain data; rendering is left to callers.
 

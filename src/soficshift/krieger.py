@@ -6,10 +6,10 @@ The central objects:
 * the survivor set I(x) of a ray x, the vertices of a right-resolving
   essential presentation that emit x;
 * the transition semigroup, the finite set of start/end relations of
-  words, which decides every "can the word w precede the ray x"
-  question at once;
-* the past-equivalence partition of the realized survivor sets, whose
-  blocks are the vertices of the left Krieger cover;
+  words, from which ``build_cover`` reads the realized survivor sets
+  and the class representatives;
+* the past-equivalence partition of the realized survivor sets, by
+  Moore refinement, whose blocks are the left Krieger cover's vertices;
 * the cover's edge matrix B, indexed by cover edges in canonical
   order, with B(e, f) = 1 exactly when the range of e is the source
   of f.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -214,12 +214,6 @@ class TransitionSemigroup:
             i = self.step[i][a]
         return self.relations[i]
 
-    def index_of_word(self, word: Word) -> int:
-        i = 0
-        for a in word:
-            i = self.step[i][a]
-        return i
-
 
 def transition_semigroup(g: LabeledGraph,
                          max_elements: int = DEFAULT_SEMIGROUP_CAP
@@ -386,27 +380,53 @@ def realized_survivor_sets(
     return _survivor_family(g, _realized_starts(sg)[0])
 
 
+def _moore_refinement(g: LabeledGraph, family: list[frozenset[int]]
+                      ) -> tuple[list[int], int]:
+    # Moore refinement under the letter preimages: after round k two
+    # sets share a label iff the same words of length at most k have a
+    # path ending in each.  Returns the labels and the splitting rounds.
+    n = len(family)
+    slot = {_set_to_mask(c): k for k, c in enumerate(family)}
+    slot[0] = n  # an empty preimage reads the sentinel label -1
+    pre = [tuple(slot.get(g.predecessors(a, _set_to_mask(c)))
+                 for a in g.alphabet) for c in family]
+    for c, row in zip(family, pre):
+        if None in row:
+            raise CoverInvariantError(
+                f"preimage of {sorted(c)} under letter {row.index(None)} "
+                f"is not in the family")
+    label, blocks, rounds = [0] * n + [-1], min(1, n), 0
+    while True:
+        ids: dict[tuple[int, ...], int] = {}
+        nxt = [ids.setdefault((label[k],) + tuple(label[p] for p in row),
+                              len(ids)) for k, row in enumerate(pre)]
+        if len(ids) == blocks:
+            return label[:n], rounds
+        label, blocks, rounds = nxt + [-1], len(ids), rounds + 1
+
+
 def past_partition(
     g: LabeledGraph,
-    realized: frozenset[frozenset[int]],
-    sg: TransitionSemigroup,
+    realized: Collection[frozenset[int]],
+    sg: TransitionSemigroup | None = None,
 ) -> list[frozenset[frozenset[int]]]:
     """Partition the realized survivor sets by past equivalence.
 
-    Two survivor sets are equivalent when, for every semigroup
-    element, the element's range meets one exactly when it meets the
-    other; since every word's relation is a semigroup element, this
-    equates the sets of words that can precede the corresponding rays
-    at all lengths simultaneously.  Blocks are returned in canonical
-    order of their minimal survivor set (cardinality, then sorted
-    vertex indices).
+    Two survivor sets are equivalent when the same words have a path
+    ending in each.  Decided by Moore refinement under the nonempty
+    letter preimages, under which ``realized`` must be closed; ``sg``
+    is not read.  Blocks come in canonical order of their least set
+    (cardinality, then sorted indices).
+
+    Raises
+    ------
+    CoverInvariantError
+        If a nonempty letter preimage falls outside ``realized``.
     """
-    ranges = [rel.range_mask() for rel in sg.relations]
-    groups: dict[tuple[bool, ...], list[frozenset[int]]] = {}
-    for c in realized:
-        m = _set_to_mask(c)
-        sig = tuple(bool(r & m) for r in ranges)
-        groups.setdefault(sig, []).append(c)
+    family = list(realized)
+    groups: dict[int, list[frozenset[int]]] = {}
+    for c, k in zip(family, _moore_refinement(g, family)[0]):
+        groups.setdefault(k, []).append(c)
     blocks = [frozenset(members) for members in groups.values()]
     blocks.sort(key=lambda b: min(_set_key(c) for c in b))
     return blocks
@@ -495,7 +515,6 @@ class KriegerCover:
     class_sets: tuple[frozenset[frozenset[int]], ...]
     representatives: tuple[Ray, ...]
     edges: tuple[Edge, ...]
-    semigroup: TransitionSemigroup
     block_of: dict[frozenset[int], int] = field(repr=False)
     pre_map: dict[tuple[int, frozenset[int]], frozenset[int]] = field(
         repr=False)
@@ -521,35 +540,31 @@ class KriegerCover:
 
     @cached_property
     def range_witnesses(self) -> Mapping[int, Word]:
-        """Each distinct set of classes met by the range of a semigroup
-        element, as a bitmask over class indices, mapped to its
-        shortest, then lexicographically least, witness word, in that
-        order of the words.
+        """Each distinct set of classes met by the range of a word (the
+        ends of its paths), as a bitmask over class indices, mapped to
+        its shortest, then lexicographically least, witness word, in
+        that order.
 
-        A class is met when the range meets its canonical survivor set;
-        for a word this is the set of classes the word can precede.
-        Elements with an empty range are left out.
+        A class is met when the range meets its canonical survivor set,
+        so this is the set of classes the word can precede.  Empty
+        ranges are left out.  Found by a breadth-first search over the
+        ranges from the full vertex set, letters in order.
         """
-        sg = self.semigroup
+        g = self.graph
         masks = [_set_to_mask(c) for c in self.canonical_sets]
-        value_of: dict[int, int] = {}
         best: dict[int, Word] = {}
-        for rel, w in zip(sg.relations, sg.witnesses):
-            rng = rel.range_mask()
-            if not rng:
-                continue
-            value = value_of.get(rng)
-            if value is None:
-                value = 0
-                for c, m in enumerate(masks):
-                    if rng & m:
-                        value |= 1 << c
-                value_of[rng] = value
-            cur = best.get(value)
-            if cur is None or (len(w), w) < (len(cur), cur):
-                best[value] = w
-        return MappingProxyType(dict(sorted(
-            best.items(), key=lambda item: (len(item[1]), item[1]))))
+        seen = {g.full_mask()}
+        queue = deque([(g.full_mask(), EPSILON)])
+        while queue:
+            rng, w = queue.popleft()
+            best.setdefault(sum(1 << c for c, m in enumerate(masks)
+                                if rng & m), w)
+            for a in g.alphabet:
+                nxt = g.successors(a, rng)
+                if nxt and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append((nxt, w + (a,)))
+        return MappingProxyType(best)
 
     @cached_property
     def scan_tables(self) -> ScanTables:
@@ -591,12 +606,8 @@ class KriegerCover:
         Testing hook for building deliberately corrupted covers; the
         verification checks are expected to flag the damage.
         """
-        return KriegerCover(self.graph, self.class_sets,
-                            self.representatives,
-                            tuple(sorted(edges,
-                                         key=lambda e: (e.src, e.dst,
-                                                        e.label))),
-                            self.semigroup, self.block_of, self.pre_map)
+        return replace(self, edges=tuple(sorted(
+            edges, key=lambda e: (e.src, e.dst, e.label))))
 
 
 def _short_rays(letters: list[int]) -> Iterator[tuple[Word, Word]]:
@@ -685,7 +696,7 @@ def build_cover(g: LabeledGraph,
     sg = transition_semigroup(g, max_semigroup)
     starts, alive = _realized_starts(sg)
     realized, pre = _survivor_family(g, starts)
-    blocks = past_partition(g, realized, sg)
+    blocks = past_partition(g, realized)
     block_of = {c: i for i, block in enumerate(blocks) for c in block}
 
     edges: list[Edge] = []
@@ -712,7 +723,7 @@ def build_cover(g: LabeledGraph,
     cover = KriegerCover(g, tuple(frozenset(b) for b in blocks), reps,
                          tuple(sorted(edges,
                                       key=lambda e: (e.src, e.dst, e.label))),
-                         sg, block_of, pre)
+                         block_of, pre)
     if not cover.is_left_resolving():
         raise CoverInvariantError("cover is not left-resolving")
     index = cover.index
@@ -724,27 +735,11 @@ def build_cover(g: LabeledGraph,
 
 def stabilization_level(cover: KriegerCover) -> int:
     """The smallest l at which length-(at most l) past data already
-    separates the past-equivalence classes.
-
-    Computed by bounded refinement: partition the realized survivor
-    sets by agreement on semigroup elements with shortest witness at
-    most l, and report the first l reproducing the full partition.
+    separates the past-equivalence classes: the number of rounds of
+    :func:`past_partition`'s Moore refinement that split a block.
     """
-    sg = cover.semigroup
-    realized = [c for block in cover.class_sets for c in block]
-    full = frozenset(frozenset(block) for block in cover.class_sets)
-    by_depth = sorted(range(len(sg.relations)), key=lambda i: sg.depth[i])
-    max_depth = max(sg.depth)
-    for level in range(max_depth + 1):
-        idxs = [i for i in by_depth if sg.depth[i] <= level]
-        groups: dict[tuple[bool, ...], set[frozenset[int]]] = {}
-        for c in realized:
-            m = _set_to_mask(c)
-            sig = tuple(bool(sg.relations[i].range_mask() & m) for i in idxs)
-            groups.setdefault(sig, set()).add(c)
-        if frozenset(frozenset(v) for v in groups.values()) == full:
-            return level
-    return max_depth
+    return _moore_refinement(
+        cover.graph, [c for block in cover.class_sets for c in block])[1]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from soficshift import (AbelianGroup, Ray, build_cover, class_projection,
                         realized_survivor_sets,
                         realized_survivor_sets_bruteforce,
                         smith_normal_form, stabilization_level,
-                        trim_essential, verify_all)
+                        transition_semigroup, trim_essential, verify_all)
 from soficshift.isocheck import FAMILY_ORDER
 from soficshift.ktheory import matrix_multiply
 from conftest import corpus_graphs, make_even, make_full, random_corpus
@@ -148,7 +148,7 @@ def test_criterion_6_stabilization():
     confirmed by direct word enumeration at levels 1, 2, 3."""
     for name, g in corpus_graphs():
         cover = build_cover(g)
-        sg = cover.semigroup
+        sg = transition_semigroup(cover.graph)
         full = frozenset(frozenset(b) for b in cover.class_sets)
         realized = [c for b in cover.class_sets for c in b]
         level = stabilization_level(cover)

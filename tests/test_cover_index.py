@@ -11,13 +11,15 @@ slow route of ``verify_all`` also takes the per-word scan kept in
 """
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
 
 from soficshift import (build_cover, corrupt_cover, diagonal,
                         express_class_projection, isocheck, krieger,
-                        unique_labeled_path, verify_all, word_classes)
+                        transition_semigroup, unique_labeled_path,
+                        verify_all, word_classes)
 from soficshift.diagonal import ClopenSet
 from soficshift.errors import AmbiguousLabelError
 from soficshift.isocheck import CORRUPTION_KINDS
@@ -117,10 +119,16 @@ def slow_conj_by_letter(cover, letter, F):
     return ClopenSet(cover, F.depth + 1, cells, validate=False)
 
 
+# the covers' classes are visited one cover at a time, and a corrupted
+# cover shares its graph with the intact one, so one cached semigroup
+# builds it once per cover
+semigroup_of = functools.lru_cache(maxsize=1)(transition_semigroup)
+
+
 def slow_express_class_projection(cover, i):
     if not (0 <= i < cover.class_count):
         raise ValueError(f"class index {i} out of range")
-    sg = cover.semigroup
+    sg = semigroup_of(cover.graph)
     reps = [min(block, key=lambda c: (len(c), tuple(sorted(c))))
             for block in cover.class_sets]
     masks = [sum(1 << v for v in rep) for rep in reps]

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from soficshift import (Alphabet, CoverInvariantError, EmptyShiftError,
                         LabeledGraph, Ray, ResourceLimitError, build_cover, cover_to_dot,
@@ -83,6 +84,76 @@ def reference_representative(g, sg, block, cap):
             return Ray(sg.witnesses[start] + tuple(seq[:seen[cur]]),
                        tuple(seq[seen[cur]:]))
         seen[cur] = len(seq)
+
+
+def semigroup_level_partition(sg, realized, level=None):
+    """Slow reference: the realized sets grouped by which semigroup
+    elements, of those with a witness of length at most ``level`` (all
+    of them if None), have a range meeting them."""
+    ranges = [rel.range_mask() for i, rel in enumerate(sg.relations)
+              if level is None or sg.depth[i] <= level]
+    groups = {}
+    for c in realized:
+        mask = sum(1 << v for v in c)
+        sig = tuple(bool(r & mask) for r in ranges)
+        groups.setdefault(sig, []).append(c)
+    return [frozenset(b) for b in groups.values()]
+
+
+def semigroup_past_partition(realized, sg):
+    """Slow reference for ``past_partition``: the semigroup-signature
+    blocks, in canonical order of their least set."""
+    return sorted(semigroup_level_partition(sg, realized),
+                  key=lambda b: min((len(c), tuple(sorted(c))) for c in b))
+
+
+def semigroup_stabilization_level(cover, sg):
+    """Slow reference for ``stabilization_level``: the first level whose
+    semigroup-signature partition is the cover's."""
+    realized = [c for b in cover.class_sets for c in b]
+    full = set(cover.class_sets)
+    for level in range(max(sg.depth) + 1):
+        if set(semigroup_level_partition(sg, realized, level)) == full:
+            return level
+    return max(sg.depth)
+
+
+def semigroup_range_witnesses(cover, sg):
+    """Slow reference for ``KriegerCover.range_witnesses``: per class
+    bitmask met by a nonempty element range, the least witness among
+    the elements, in (length, lexicographic) order."""
+    masks = [sum(1 << v for v in c) for c in cover.canonical_sets]
+    best = {}
+    for rel, w in zip(sg.relations, sg.witnesses):
+        rng = rel.range_mask()
+        if rng:
+            value = sum(1 << c for c, m in enumerate(masks) if rng & m)
+            if value not in best or (len(w), w) < (len(best[value]),
+                                                   best[value]):
+                best[value] = w
+    return sorted(best.items(), key=lambda item: (len(item[1]), item[1]))
+
+
+def check_against_semigroup(g):
+    """The Moore-refinement partition, level and range witnesses of the
+    cover of ``g`` against the semigroup references."""
+    cover = build_cover(g)
+    h = cover.graph
+    sg = transition_semigroup(h)
+    realized, _ = realized_survivor_sets(h, sg)
+    want = semigroup_past_partition(realized, sg)
+    assert past_partition(h, realized, sg) == want
+    assert list(cover.class_sets) == want
+    level = stabilization_level(cover)
+    assert level == semigroup_stabilization_level(cover, sg)
+    full = set(want)
+    assert set(semigroup_level_partition(sg, realized, level)) == full
+    if level:
+        assert set(semigroup_level_partition(sg, realized,
+                                             level - 1)) != full
+    assert list(cover.range_witnesses.items()) == \
+        semigroup_range_witnesses(cover, sg)
+    return level
 
 
 def random_presentations(seed):
@@ -329,6 +400,43 @@ class TestStabilization:
         assert stabilization_level(golden_cover) == 1
 
 
+class TestMooreRefinement:
+    def test_matches_semigroup_references(self):
+        levels = set()
+        for name, g in corpus_graphs() + random_presentations(seed=314):
+            try:
+                levels.add(check_against_semigroup(g))
+            except AssertionError as err:
+                raise AssertionError(name) from err
+        # the inputs stabilize at several levels, deep ones included
+        assert {0, 1, 2} <= levels and max(levels) >= 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.integers(1, 5).flatmap(lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(0, k - 1)), min_size=1, unique=True)))))
+    def test_generated_presentations(self, shape):
+        # any edge set, right-resolving or not; build_cover conditions it
+        k, edges = shape
+        n = 1 + max(max(s, t) for s, t, _ in edges)
+        try:
+            g = trim_essential(LabeledGraph(
+                Alphabet([str(a) for a in range(k)]),
+                [f"v{v}" for v in range(n)], edges))
+        except EmptyShiftError:
+            assume(False)
+        check_against_semigroup(g)
+
+    def test_family_must_be_closed_under_preimages(self, even_graph):
+        # {a, b} is realized, but its preimage under 1 is {a}
+        with pytest.raises(CoverInvariantError,
+                           match=re.escape("preimage of [0, 1] under "
+                                           "letter 1 is not in the family")):
+            past_partition(even_graph, {frozenset({0, 1})})
+
+
 class TestBuildCover:
     def test_even_shift_cover(self, even_cover):
         assert even_cover.class_count == 3
@@ -372,9 +480,10 @@ class TestBuildCover:
             monkeypatch.setattr(kr, "_REPRESENTATIVE_SEARCH_CAP", cap)
         for name, g in random_presentations(seed=311):
             cover = build_cover(g)
+            sg = transition_semigroup(cover.graph)
             expect = tuple(
-                reference_representative(cover.graph, cover.semigroup,
-                                         block, kr._REPRESENTATIVE_SEARCH_CAP)
+                reference_representative(cover.graph, sg, block,
+                                         kr._REPRESENTATIVE_SEARCH_CAP)
                 for block in cover.class_sets)
             assert cover.representatives == expect, name
 
@@ -420,7 +529,7 @@ class TestBuildCover:
         # refining by one more letter of past data beyond the
         # stabilization level changes nothing
         for name, cover in corpus_covers:
-            sg = cover.semigroup
+            sg = transition_semigroup(cover.graph)
             level = stabilization_level(cover)
             full = frozenset(frozenset(b) for b in cover.class_sets)
             realized = [c for b in cover.class_sets for c in b]

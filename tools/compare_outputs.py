@@ -1,4 +1,4 @@
-"""Compare the CLI outputs of two checkouts on the benchmark's corpora.
+"""Compare the CLI and demo outputs of two checkouts.
 
   python3 tools/compare_outputs.py OLD_CHECKOUT NEW_CHECKOUT
   python3 tools/compare_outputs.py OLD NEW --seeds 1 2 --workloads verify_words
@@ -10,14 +10,17 @@ with each ``--corrupt`` kind.  ``verify`` takes the workload's own
 ``--max-word-len`` on the verify workloads; on the ``cover_ktheory``
 inputs it takes 4, or 2 over more than three letters.  Each checkout
 runs every call in one child process that imports ``soficshift`` from
+that checkout's ``src``.  Then every ``demos/*.py`` of NEW_CHECKOUT is
+run as a script, from each checkout's own ``demos`` directory against
 that checkout's ``src``.  Standard output, standard error and the exit
-code of each call are compared; the differences are printed and the
-exit code is 1 if there are any.
+code of each call and each demo are compared; the differences are
+printed and the exit code is 1 if there are any.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -79,15 +82,40 @@ def calls(seeds, workloads, directory: str) -> list[list[str]]:
     return out
 
 
-def run(checkout: str, argvs: list[list[str]]) -> list[list]:
+def child_env(checkout: str) -> dict[str, str]:
     src = os.path.join(os.path.abspath(checkout), "src")
     if not os.path.isfile(os.path.join(src, "soficshift", "cli.py")):
         raise SystemExit(f"no soficshift source under {src}")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+
+
+def run(checkout: str, argvs: list[list[str]]) -> list[list]:
     done = subprocess.run([sys.executable, "-c", CHILD],
                           input=json.dumps(argvs), capture_output=True,
-                          text=True, env=env, check=True)
+                          text=True, env=child_env(checkout), check=True)
     return json.loads(done.stdout)
+
+
+def run_demo(checkout: str, name: str) -> list:
+    """[exit code, stdout, stderr] of the checkout's ``demos/<name>``."""
+    path = os.path.join(os.path.abspath(checkout), "demos", name)
+    if not os.path.isfile(path):
+        return ["missing", "", ""]
+    done = subprocess.run([sys.executable, path], capture_output=True,
+                          text=True, env=child_env(checkout))
+    return [done.returncode, done.stdout, done.stderr]
+
+
+def report(shown: str, a: list, b: list) -> bool:
+    """Print the parts of two [exit, stdout, stderr] results that
+    differ; True if any do."""
+    if a == b:
+        return False
+    print(f"DIFFER {shown}")
+    for what, x, y in zip(("exit", "stdout", "stderr"), a, b):
+        if x != y:
+            print(f"  {what}: {x!r}\n    -> {y!r}")
+    return True
 
 
 def main(argv=None) -> int:
@@ -104,20 +132,18 @@ def main(argv=None) -> int:
         argvs = calls(args.seeds, args.workloads, directory)
         old = run(args.old, argvs)
         new = run(args.new, argvs)
-        differ = 0
-        for call, a, b in zip(argvs, old, new):
-            if a != b:
-                differ += 1
-                shown = " ".join(os.path.basename(x) if x.startswith(
-                    directory) else x for x in call)
-                print(f"DIFFER {shown}")
-                for what, x, y in zip(("exit", "stdout", "stderr"), a, b):
-                    if x != y:
-                        print(f"  {what}: {x!r}\n    -> {y!r}")
+        differ = sum(report(" ".join(
+            os.path.basename(x) if x.startswith(directory) else x
+            for x in call), a, b) for call, a, b in zip(argvs, old, new))
+    demos = sorted(os.path.basename(p) for p in glob.glob(
+        os.path.join(os.path.abspath(args.new), "demos", "*.py")))
+    demos_differ = sum(report(f"demos/{name}", run_demo(args.old, name),
+                              run_demo(args.new, name)) for name in demos)
     inputs = len({call[1] for call in argvs})
     print(f"{len(argvs)} calls on {inputs} inputs compared, "
           f"{differ} differ")
-    return 1 if differ else 0
+    print(f"{len(demos)} demos compared, {demos_differ} differ")
+    return 1 if differ or demos_differ else 0
 
 
 if __name__ == "__main__":
