@@ -40,6 +40,7 @@ only the second and the third:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .krieger import KriegerCover
@@ -111,7 +112,9 @@ class ClopenSet:
 
     def __init__(self, cover: KriegerCover, depth: int,
                  cells: Iterable[Cell], validate: bool = True):
-        cells = frozenset((tuple(w), i) for w, i in cells)
+        # the engine's own operations pass frozensets of tuple cells
+        if not isinstance(cells, frozenset):
+            cells = frozenset((tuple(w), i) for w, i in cells)
         if any(len(w) != depth for w, _ in cells):
             raise ValueError("cell word length differs from depth")
         if validate:
@@ -338,9 +341,17 @@ def evaluate_projection_formula(cover: KriegerCover,
                                 negative: Iterable[Word]) -> ClopenSet:
     """Evaluate the product of post images and complemented post
     images as a clopen set."""
+    return _formula_product(
+        cover, (post_image(cover, w) for w in positive),
+        (post_image(cover, w).complement() for w in negative))
+
+
+def _formula_product(cover: KriegerCover, images: Iterable[ClopenSet],
+                     complements: Iterable[ClopenSet]) -> ClopenSet:
+    # the product of a projection formula from its factors: the post
+    # images of the positive words, then the complemented post images
+    # of the negative words, each taken when it is reached
     out = full_space(cover)
-    for w in positive:
-        out = out.intersect(post_image(cover, w))
-    for w in negative:
-        out = out.intersect(post_image(cover, w).complement())
+    for factor in chain(images, complements):
+        out = out.intersect(factor)
     return out

@@ -9,6 +9,13 @@ cover passes every family; a corrupted cover (edges dropped, ranges
 reassigned, labels duplicated) is caught by the family whose identity
 it breaks, with a witness.
 
+Checks are counted per word but decided once per distinct input they
+depend on: the word families once per scan state, the conjugation
+identity once per post image (the set of classes a word can precede),
+the projection formulas once per table word's post image.  The memo
+tables are locals of one call, and each witness is the one a word by
+word, class by class run gives.
+
 Reports are plain data; rendering is left to callers.
 
 Examples
@@ -363,31 +370,64 @@ def _check_class_splitting(cover: KriegerCover, rec: _Recorder,
                      f"class E{i + 1}: {outcome[1]}")
 
 
+_ConjugationOutcome = tuple[int, tuple[int | None, str] | None]
+
+
+def _conjugation_outcome(cover: KriegerCover,
+                         F: ClopenSet) -> _ConjugationOutcome:
+    """The identity conj_by_letter(a, F) == cylinder(a) ∩ shift_preimage(F)
+    letter by letter: the number of letters counted and the first
+    failure, as (letter, detail), or (None, message) for an ambiguity,
+    which stops the count."""
+    counted = 0
+    failure = None
+    try:
+        lifted = diagonal.shift_preimage(cover, F)
+        for a in cover.alphabet:
+            counted += 1
+            lhs = diagonal.conj_by_letter(cover, a, F)
+            rhs = diagonal.cylinder(cover, (a,)).intersect(lifted)
+            if failure is None and lhs != rhs:
+                failure = (a, f"{lhs.render()} != {rhs.render()}")
+    except AmbiguousLabelError as exc:
+        if failure is None:
+            failure = (None, str(exc))
+    return counted, failure
+
+
 def _check_conjugation(cover: KriegerCover, rec: _Recorder,
                        max_len: int) -> None:
+    """conjugation_locality over the words up to ``CLOPEN_WORD_CAP``.
+
+    A word reaches the identity only through its post image F, so the
+    outcome is decided once per distinct F and counted per word; the
+    witness is the first failing (word, letter), words in length then
+    lexicographic order.
+    """
     from .shiftcore import words_of_length
 
     cap = min(max_len, CLOPEN_WORD_CAP)
     words = [EPSILON]
     for k in range(1, cap + 1):
         words.extend(sorted(words_of_length(cover.graph, k)))
+    outcomes: dict[ClopenSet, _ConjugationOutcome] = {}
     for nu in words:
         try:
             F = diagonal.post_image(cover, nu)
-            lifted = diagonal.shift_preimage(cover, F)
-            for a in cover.alphabet:
-                rec.count("conjugation_locality")
-                lhs = diagonal.conj_by_letter(cover, a, F)
-                rhs = diagonal.cylinder(cover, (a,)).intersect(lifted)
-                if lhs != rhs:
-                    rec.fail(
-                        "conjugation_locality",
-                        f"letter {cover.alphabet.tokens[a]}, word "
-                        f"{_word_str(cover, nu)}: {lhs.render()} != "
-                        f"{rhs.render()}")
         except AmbiguousLabelError as exc:
             rec.fail("conjugation_locality",
                      f"word {_word_str(cover, nu)}: {exc}")
+            continue
+        if F not in outcomes:
+            outcomes[F] = _conjugation_outcome(cover, F)
+        counted, failure = outcomes[F]
+        rec.count("conjugation_locality", counted)
+        if failure is not None:
+            a, detail = failure
+            rec.fail("conjugation_locality", lambda: (
+                f"word {_word_str(cover, nu)}: {detail}" if a is None else
+                f"letter {cover.alphabet.tokens[a]}, word "
+                f"{_word_str(cover, nu)}: {detail}"))
 
 
 def _check_ck(cover: KriegerCover, rec: _Recorder,
@@ -539,18 +579,33 @@ def _check_round_trips(cover: KriegerCover, rec: _Recorder) -> None:
 
 
 def _check_projection_formulas(cover: KriegerCover, rec: _Recorder) -> None:
+    # every formula word is a range_witnesses word: take its post image
+    # and the complement once per cover, or the ambiguity error of its
+    # post image
+    images: dict[Word, tuple[ClopenSet, ClopenSet] | AmbiguousLabelError] = {}
+    for w in cover.range_witnesses.values():
+        try:
+            F = diagonal.post_image(cover, w)
+        except AmbiguousLabelError as exc:
+            images[w] = exc
+        else:
+            images[w] = (F, F.complement())
     for i in range(cover.class_count):
         rec.count("projection_word_formulas")
-        try:
-            pos, neg = diagonal.express_class_projection(cover, i)
-            value = diagonal.evaluate_projection_formula(cover, pos, neg)
-            if value != diagonal.class_projection(cover, i):
-                rec.fail(
-                    "projection_word_formulas",
-                    f"class E{i + 1}: formula evaluates to "
-                    f"{value.render()}")
-        except AmbiguousLabelError as exc:
+        pos, neg = diagonal.express_class_projection(cover, i)
+        # the formula fails at its first word, positive then negative,
+        # whose post image is ambiguous
+        exc = next((images[w] for w in pos + neg
+                    if isinstance(images[w], AmbiguousLabelError)), None)
+        if exc is not None:
             rec.fail("projection_word_formulas", f"class E{i + 1}: {exc}")
+            continue
+        value = diagonal._formula_product(
+            cover, (images[w][0] for w in pos), (images[w][1] for w in neg))
+        if value != diagonal.class_projection(cover, i):
+            rec.fail(
+                "projection_word_formulas",
+                f"class E{i + 1}: formula evaluates to {value.render()}")
 
 
 def _results(rec: _Recorder, names) -> tuple[CheckResult, ...]:
@@ -593,9 +648,12 @@ def verify_all(cover: KriegerCover, max_len: int = 8) -> Report:
 
     Word-indexed families run over all admissible words up to
     ``max_len``, counted per word but decided once per (length, scan
-    state) pair (see ``_scan_words``); families that go through the
-    clopen engine run per word and cap the word length at 5 to stay
-    inside desk-scale budgets.
+    state) pair (see ``_scan_words``).  Families that go through the
+    clopen engine cap the word length at 5 to stay inside desk-scale
+    budgets: ``word_range_projections`` runs per word, and
+    ``conjugation_locality`` is decided once per post image and counted
+    per word (see ``_check_conjugation``).  The projection formulas take
+    each table word's post image once per call.
     """
     rec = _scan_words(cover, max_len, clopen_len=min(max_len,
                                                      CLOPEN_WORD_CAP))

@@ -7,7 +7,8 @@ the index existed, and the per-class semigroup pass of
 ``express_class_projection``.  They are compared with the indexed code
 on seeded random covers, intact and under every corruption kind; the
 slow route of ``verify_all`` also takes the per-word scan kept in
-``test_word_scan``.
+``test_word_scan`` and the per-word and per-class clopen checks kept in
+``test_post_image_memo``.
 """
 
 import dataclasses
@@ -166,9 +167,16 @@ def use_slow_references(monkeypatch):
     monkeypatch.setattr(diagonal, "express_class_projection",
                         slow_express_class_projection)
     monkeypatch.setattr(ClopenSet, "refine", slow_refine)
-    # imported here because test_word_scan imports this module
+    # imported here because test_word_scan and test_post_image_memo
+    # import this module
     from test_word_scan import slow_scan_words
+    from test_post_image_memo import (slow_check_conjugation,
+                                      slow_check_projection_formulas)
     monkeypatch.setattr(isocheck, "_scan_words", slow_scan_words)
+    monkeypatch.setattr(isocheck, "_check_conjugation",
+                        slow_check_conjugation)
+    monkeypatch.setattr(isocheck, "_check_projection_formulas",
+                        slow_check_projection_formulas)
 
     def no_index(self):
         raise AssertionError("the slow route read the cover index")
