@@ -13,8 +13,8 @@ from .errors import EmptyShiftError, ResourceLimitError
 from .shiftcore import Edge, LabeledGraph, require_essential, words_of_length
 
 # Cap on the states of the subset construction.  Each state becomes a
-# vertex, and every transition-semigroup element stores one row per
-# vertex, so wider presentations are out of reach downstream anyway.
+# vertex, and the cover's pair graph is capped by its states times the
+# vertices, so wider presentations are out of reach downstream anyway.
 SUBSET_STATE_CAP = 2 ** 11
 
 

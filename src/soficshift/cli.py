@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import isocheck, krieger, ktheory
+from . import isocheck, krieger
 from .automata import make_right_resolving, trim_essential
 from .errors import InputFormatError, SoficError
 from .shiftcore import (LabeledGraph, SftSpec, parse_presentation,
@@ -63,6 +63,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ktheory(args) -> int:
+    from . import ktheory
     cover = krieger.build_cover(_load_graph(args.file))
     k0, k1 = ktheory.k_groups(krieger.edge_matrix(cover))
     print(f"K0 = {k0.render()}")
@@ -71,19 +72,20 @@ def cmd_ktheory(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .semigroup import realized_survivor_sets_bruteforce
     g = make_right_resolving(_load_graph(args.file))
-    semigroup_sets, _ = krieger.realized_survivor_sets(g)
-    brute = krieger.realized_survivor_sets_bruteforce(g, args.bound)
-    if semigroup_sets == brute:
-        n = len(semigroup_sets)
+    pair_sets, _ = krieger.realized_survivor_sets(g)
+    brute = realized_survivor_sets_bruteforce(g, args.bound)
+    if pair_sets == brute:
+        n = len(pair_sets)
         print(f"{n} {'set' if n == 1 else 'sets'} via both methods")
         return 0
-    only_semigroup = sorted(map(sorted, semigroup_sets - brute))
-    only_brute = sorted(map(sorted, brute - semigroup_sets))
-    print(f"mismatch: semigroup method found {len(semigroup_sets)}, "
+    only_pair = sorted(map(sorted, pair_sets - brute))
+    only_brute = sorted(map(sorted, brute - pair_sets))
+    print(f"mismatch: pair-graph method found {len(pair_sets)}, "
           f"ray enumeration found {len(brute)}")
-    if only_semigroup:
-        print(f"only semigroup: {only_semigroup}")
+    if only_pair:
+        print(f"only pair graph: {only_pair}")
     if only_brute:
         print(f"only enumeration: {only_brute}")
     return 1

@@ -23,7 +23,7 @@ class EmptyShiftError(SoficError):
 
 
 class ResourceLimitError(SoficError):
-    """A configurable size cap (e.g. on the transition semigroup) was hit."""
+    """A configurable size cap (e.g. on the cover's pair graph) was hit."""
 
 
 class CoverInvariantError(SoficError):

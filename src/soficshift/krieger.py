@@ -1,18 +1,21 @@
-"""Survivor sets, the transition semigroup, past equivalence, and the
-left Krieger cover with its edge matrix.
+"""Survivor sets, past equivalence, and the left Krieger cover with
+its edge matrix.
 
 The central objects:
 
 * the survivor set I(x) of a ray x, the vertices of a right-resolving
   essential presentation that emit x;
-* the transition semigroup, the finite set of start/end relations of
-  words, from which ``build_cover`` reads the realized survivor sets
-  and the class representatives;
+* the pair graph of vertex sets, from which ``build_cover`` reads the
+  realized survivor sets and the class representatives;
 * the past-equivalence partition of the realized survivor sets, by
   Moore refinement, whose blocks are the left Krieger cover's vertices;
 * the cover's edge matrix B, indexed by cover edges in canonical
   order, with B(e, f) = 1 exactly when the range of e is the source
   of f.
+
+The transition semigroup and the brute-force ray enumeration, which
+only the oracle and the tests read, live in :mod:`soficshift.semigroup`;
+their names stay reachable from this module and load on first use.
 
 Everything is exact and finite; vertex sets are handled as bitmasks
 internally and exposed as frozensets of vertex indices.
@@ -21,11 +24,13 @@ internally and exposed as frozensets of vertex indices.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import (TYPE_CHECKING, Collection, Iterable, Iterator, Mapping,
+                    NamedTuple)
 
 from .automata import make_right_resolving, trim_essential
 from .errors import (AmbiguousLabelError, CoverInvariantError,
@@ -33,14 +38,27 @@ from .errors import (AmbiguousLabelError, CoverInvariantError,
 from .shiftcore import (EPSILON, Alphabet, Edge, LabeledGraph, Ray, Word,
                         require_essential)
 
-DEFAULT_SEMIGROUP_CAP = 2 ** 20
+if TYPE_CHECKING:
+    from .semigroup import TransitionSemigroup
 
-# Cap on the rows the semigroup stores: every element holds one row
-# per vertex, so the element cap alone does not bound memory on wide
-# presentations.
-SEMIGROUP_ROW_CAP = 2 ** 22
+# The names of ``semigroup`` that this module used to define: they stay
+# reachable here and import that module on first use.
+_SEMIGROUP_NAMES = frozenset({
+    "DEFAULT_SEMIGROUP_CAP", "SEMIGROUP_ROW_CAP", "TransitionRelation",
+    "TransitionSemigroup", "transition_semigroup",
+    "realized_survivor_sets_bruteforce"})
+
+# Cap on the pair states of ``build_cover`` times vertices.
+PAIR_STATE_CAP = 2 ** 24
 
 _REPRESENTATIVE_SEARCH_CAP = 4
+
+
+def __getattr__(name: str):
+    if name in _SEMIGROUP_NAMES:
+        from . import semigroup
+        return getattr(semigroup, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -62,173 +80,6 @@ def _set_to_mask(vertices: frozenset[int]) -> int:
 def _set_key(s: frozenset[int]) -> tuple:
     # canonical order on vertex sets: cardinality, then sorted indices
     return (len(s), tuple(sorted(s)))
-
-
-class TransitionRelation:
-    """The relation of a word w: start s is related to end t when some
-    path labeled w runs from s to t.
-
-    Stored as one successor bitmask per start vertex.  Relations
-    compose left factor first: the relation of wa is the relation of w
-    composed with the relation of a.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "TransitionRelation":
-        return cls(1 << s for s in range(n))
-
-    @classmethod
-    def of_letter(cls, g: LabeledGraph, label: int) -> "TransitionRelation":
-        return cls(g._succ[label])
-
-    def compose(self, other: "TransitionRelation") -> "TransitionRelation":
-        rows = []
-        orows = other.rows
-        for mask in self.rows:
-            out = 0
-            while mask:
-                t = (mask & -mask).bit_length() - 1
-                out |= orows[t]
-                mask &= mask - 1
-            rows.append(out)
-        return TransitionRelation(rows)
-
-    def domain_mask(self) -> int:
-        out = 0
-        for s, row in enumerate(self.rows):
-            if row:
-                out |= 1 << s
-        return out
-
-    def range_mask(self) -> int:
-        out = 0
-        for row in self.rows:
-            out |= row
-        return out
-
-    def preimage(self, mask: int) -> int:
-        """Starts with some related end inside ``mask``."""
-        out = 0
-        for s, row in enumerate(self.rows):
-            if row & mask:
-                out |= 1 << s
-        return out
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((s, t)
-                         for s, row in enumerate(self.rows)
-                         for t in _mask_to_set(row))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TransitionRelation)
-                and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"TransitionRelation({sorted(self.pairs())})"
-
-
-class TransitionSemigroup:
-    """Closure of the single-letter relations under right composition.
-
-    Element 0 is the identity relation (the empty word).  Each element
-    records a shortest witness word; ``step[i][a]`` is the index of
-    element i composed with the letter a, giving the reachability
-    graph used by the realized-set computation.
-    """
-
-    __slots__ = ("relations", "witnesses", "step", "generator", "depth",
-                 "nonempty_depth")
-
-    def __init__(self, g: LabeledGraph, max_elements: int):
-        n = g.vertex_count
-        letters = list(g.alphabet)
-        ident = TransitionRelation.identity(n)
-        relations = [ident]
-        witnesses: list[Word] = [EPSILON]
-        index = {ident.rows: 0}
-        step: list[list[int]] = []
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            row = []
-            for a in letters:
-                nxt = relations[i].compose(
-                    TransitionRelation.of_letter(g, a))
-                j = index.get(nxt.rows)
-                if j is None:
-                    if len(relations) >= max_elements:
-                        raise ResourceLimitError(
-                            f"transition semigroup exceeds "
-                            f"{max_elements} elements")
-                    if (len(relations) + 1) * n > SEMIGROUP_ROW_CAP:
-                        raise ResourceLimitError(
-                            f"transition semigroup exceeds "
-                            f"{SEMIGROUP_ROW_CAP} stored rows: "
-                            f"{len(relations)} elements of {n} rows "
-                            f"each are stored")
-                    j = len(relations)
-                    index[nxt.rows] = j
-                    relations.append(nxt)
-                    witnesses.append(witnesses[i] + (a,))
-                    queue.append(j)
-                row.append(j)
-            step.append(row)
-        self.relations = tuple(relations)
-        self.witnesses = tuple(witnesses)
-        self.step = tuple(tuple(r) for r in step)
-        self.generator = tuple(self.step[0][a] for a in letters)
-        self.depth = tuple(len(w) for w in witnesses)
-
-        # minimal nonempty word length per element (None if unreachable
-        # by a nonempty word; only the identity can be affected)
-        nd: list[int | None] = [None] * len(relations)
-        frontier = []
-        for j in self.generator:
-            if nd[j] is None:
-                nd[j] = 1
-                frontier.append(j)
-        while frontier:
-            nxt_frontier = []
-            for i in frontier:
-                for j in self.step[i]:
-                    if nd[j] is None:
-                        nd[j] = nd[i] + 1
-                        nxt_frontier.append(j)
-            frontier = nxt_frontier
-        self.nonempty_depth = tuple(nd)
-
-    def __len__(self) -> int:
-        return len(self.relations)
-
-    def element_of_word(self, word: Word) -> TransitionRelation:
-        i = 0
-        for a in word:
-            i = self.step[i][a]
-        return self.relations[i]
-
-
-def transition_semigroup(g: LabeledGraph,
-                         max_elements: int = DEFAULT_SEMIGROUP_CAP
-                         ) -> TransitionSemigroup:
-    """Compute the transition semigroup of a right-resolving essential
-    presentation.
-
-    Raises
-    ------
-    ResourceLimitError
-        If the closure exceeds ``max_elements`` relations or
-        ``SEMIGROUP_ROW_CAP`` stored rows (elements times vertices).
-    """
-    require_essential(g)
-    return TransitionSemigroup(g, max_elements)
 
 
 def _pull_back(g: LabeledGraph, word: Word, mask: int) -> int:
@@ -277,65 +128,86 @@ def survivor_set(g: LabeledGraph, ray: Ray) -> frozenset[int]:
     return _mask_to_set(_survivor_mask(g, ray))
 
 
-def _zeros(n: int) -> memoryview:
-    # n zeroed machine integers in one buffer
-    return memoryview(bytearray(8 * n)).cast("q")
+def _pair_graph(g: LabeledGraph) -> tuple[dict[int, int], list[int], array,
+                                            bytearray]:
+    # States (P, Q) of disjoint vertex sets, as P << n | Q.  The move
+    # (P, Q) -a-> (δ_a P, δ_a Q), step[i * k + a] (-1 if barred), needs
+    # every track from P to survive a and none from Q to merge into one.
+    # A state is good when it reaches a (P', ∅) whose P' can move
+    # forever.  The first states are (D, V∖D) for the candidates D (V
+    # closed under nonempty pre_a), and D is realized iff that is good.
+    n, full, letters = g.vertex_count, g.full_mask(), list(g.alphabet)
+    states: list[int] = []
+    index: dict[int, int] = {}
 
+    def state(s: int) -> int:
+        # the index of s, stored when first met if the cap allows
+        j = index.setdefault(s, len(states))
+        if j == len(states):
+            if (j + 1) * n > PAIR_STATE_CAP:
+                raise ResourceLimitError(
+                    f"pair graph exceeds {PAIR_STATE_CAP} stored "
+                    f"vertices: {j} pair states of {n} vertices each "
+                    f"are stored")
+            states.append(s)
+        return j
 
-def _alive_elements(sg: TransitionSemigroup, doms: list[int]) -> bytearray:
-    # An element is alive when it can keep composing letters forever
-    # without its domain shrinking, i.e. it reaches a directed cycle of
-    # the constant-domain subgraph (edges i -> step[i][a] with
-    # doms[step[i][a]] == doms[i]).  Greatest fixed point by reverse-edge
-    # counting, as in trimming: an element dies once every
-    # constant-domain successor has died.  The reverse edges sit in flat
-    # buffers (the predecessors of j are preds[first[j]:first[j + 1]]);
-    # one list per element would leave the heap fragmented for the
-    # stages that follow and raise the peak resident set.
-    n = len(doms)
-    count = _zeros(n)
-    first = _zeros(n + 1)
-    for i, row in enumerate(sg.step):
-        for j in row:
-            if doms[j] == doms[i]:
-                count[i] += 1
-                first[j + 1] += 1
-    for j in range(n):
+    state(full << n)
+    for s in states:  # the candidates; both loops read states as it grows
+        for a in letters:
+            d = g.predecessors(a, s >> n)
+            if d:
+                state(d << n | full ^ d)
+    candidates = len(states)
+    doms = [g.predecessors(a, full) for a in letters]
+    step = array("q")
+    for s in states:
+        p, q = s >> n, s & full
+        for a in letters:
+            j = -1
+            if not p & ~doms[a]:
+                p2, q2 = g.successors(a, p), g.successors(a, q)
+                if not p2 & q2:
+                    j = state(p2 << n | q2)
+            step.append(j)
+
+    # reverse moves in flat buffers (a list per state would fragment the
+    # heap and raise the peak resident set): into j from
+    # preds[first[j]:first[j + 1]]
+    m, k = len(states), len(letters)
+    first = array("q", bytes(8 * (m + 1)))
+    for j in step:
+        if j >= 0:
+            first[j + 1] += 1
+    for j in range(m):
         first[j + 1] += first[j]
-    preds = _zeros(first[n])
-    fill = _zeros(n)
-    fill[:] = first[:n]
-    for i, row in enumerate(sg.step):
-        for j in row:
-            if doms[j] == doms[i]:
-                preds[fill[j]] = i
-                fill[j] += 1
-    alive = bytearray([1]) * n
-    dead = [i for i in range(n) if not count[i]]
-    for i in dead:
-        alive[i] = 0
+    preds, fill = array("q", bytes(8 * first[m])), first[:m]
+    for t, j in enumerate(step):
+        if j >= 0:
+            preds[fill[j]] = t // k
+            fill[j] += 1
+
+    # a state (P, ∅) moves only to such states; it dies once every move
+    # leads to a dead one (reverse-edge counting, as in trimming)
+    count = [k - step[i * k:i * k + k].count(-1) for i in range(m)]
+    good = bytearray(not s & full for s in states)
+    dead = [i for i in range(m) if good[i] and not count[i]]
     while dead:
         j = dead.pop()
+        good[j] = 0
         for i in preds[first[j]:first[j + 1]]:
             count[i] -= 1
-            if not count[i]:
-                alive[i] = 0
+            if not count[i] and good[i]:
                 dead.append(i)
-    return alive
-
-
-def _realized_starts(sg: TransitionSemigroup
-                     ) -> tuple[dict[int, int], bytearray]:
-    # A domain is realized as a survivor set exactly when some alive
-    # element has it.  Returns each realized domain mapped to the
-    # smallest alive element with that domain, and the alive flags.
-    doms = [rel.domain_mask() for rel in sg.relations]
-    alive = _alive_elements(sg, doms)
-    starts: dict[int, int] = {}
-    for i, live in enumerate(alive):
-        if live and doms[i]:
-            starts.setdefault(doms[i], i)
-    return starts, alive
+    stack = [i for i in range(m) if good[i]]
+    while stack:
+        j = stack.pop()
+        for i in preds[first[j]:first[j + 1]]:
+            if not good[i]:
+                good[i] = 1
+                stack.append(i)
+    return ({states[i] >> n: i for i in range(candidates) if good[i]},
+            states, step, good)
 
 
 def _survivor_family(
@@ -369,15 +241,26 @@ def realized_survivor_sets(
 
     Naively chaining vertex subsets backwards overgenerates, because a
     strict subset of a true survivor set can satisfy the chain
-    condition; the computation therefore runs over the transition
-    semigroup, where the domain of the relation of w is exactly the
-    set of vertices emitting w, and keeps the domains that persist
-    along some infinite extension.
+    condition.  The computation therefore runs over pairs of vertex
+    sets: a candidate D (the vertex set V closed under nonempty letter
+    preimages) is realized exactly when some ray keeps every track from
+    D alive while every track from V∖D dies without merging into one
+    of them.  A move follows each track only when every vertex has at
+    most one edge per letter, so ``g`` must be right-resolving as well
+    as essential.  ``sg`` is not read.
+
+    Raises
+    ------
+    ValueError
+        If ``g`` is not essential or not right-resolving.
+    ResourceLimitError
+        Past ``PAIR_STATE_CAP`` pair states times vertices.
     """
     require_essential(g)
-    if sg is None:
-        sg = transition_semigroup(g)
-    return _survivor_family(g, _realized_starts(sg)[0])
+    if not g.is_right_resolving():
+        raise ValueError("realized survivor sets require a right-resolving "
+                         "presentation")
+    return _survivor_family(g, _pair_graph(g)[0])
 
 
 def _moore_refinement(g: LabeledGraph, family: list[frozenset[int]]
@@ -620,40 +503,18 @@ def _short_rays(letters: list[int]) -> Iterator[tuple[Word, Word]]:
                     yield u, v
 
 
-def _cycle_ray(sg: TransitionSemigroup, alive: bytearray, start: int,
-               letters: list[int]) -> Ray:
-    # deterministic forever-walk inside the constant-domain subgraph
-    # from an alive element; the first repeated element closes the
-    # period
-    dom = sg.relations[start].domain_mask()
-    seen = {start: 0}
-    seq: list[int] = []
-    cur = start
-    while True:
-        a = next(b for b in letters
-                 if alive[sg.step[cur][b]]
-                 and sg.relations[sg.step[cur][b]].domain_mask() == dom)
-        seq.append(a)
-        cur = sg.step[cur][a]
-        if cur in seen:
-            cut = seen[cur]
-            return Ray(sg.witnesses[start] + tuple(seq[:cut]),
-                       tuple(seq[cut:]))
-        seen[cur] = len(seq)
-
-
-def _class_representatives(g: LabeledGraph, sg: TransitionSemigroup,
+def _class_representatives(g: LabeledGraph,
                            blocks: list[frozenset[frozenset[int]]],
-                           starts: dict[int, int], alive: bytearray
-                           ) -> tuple[Ray, ...]:
-    # Deterministic choice per block: the first short ray in the order
-    # of _short_rays whose survivor set lies in the block; otherwise a
-    # ray read off a cycle of the constant-domain subgraph, walked from
-    # the smallest alive element whose domain lies in the block, which
-    # always exists for a realized block.
+                           starts: dict[int, int], states: list[int],
+                           step: array, good: bytearray) -> tuple[Ray, ...]:
+    # Per block, the first short ray in the order of _short_rays whose
+    # survivor set lies in it.  Otherwise, from the state (D, V∖D) of its
+    # least set D, the breadth-first least word to a good (P', ∅), then
+    # the least letter that keeps P' good, until a set repeats.
     letters = list(g.alphabet)
-    block_of_mask = {_set_to_mask(c): k
-                     for k, block in enumerate(blocks) for c in block}
+    full, k = g.full_mask(), len(letters)
+    block_of_mask = {_set_to_mask(c): b
+                     for b, block in enumerate(blocks) for c in block}
     reps: list[Ray | None] = [None] * len(blocks)
     missing = len(blocks)
     fixpoints: dict[Word, int] = {}
@@ -663,38 +524,58 @@ def _class_representatives(g: LabeledGraph, sg: TransitionSemigroup,
         fix = fixpoints.get(v)
         if fix is None:
             fix = fixpoints[v] = _period_fixpoint(g, v)
-        k = block_of_mask.get(_pull_back(g, u, fix))
-        if k is not None and reps[k] is None:
-            reps[k] = Ray(u, v)
+        b = block_of_mask.get(_pull_back(g, u, fix))
+        if b is not None and reps[b] is None:
+            reps[b] = Ray(u, v)
             missing -= 1
 
-    for k, block in enumerate(blocks):
-        if reps[k] is None:
-            start = min(starts[_set_to_mask(c)] for c in block)
-            reps[k] = _cycle_ray(sg, alive, start, letters)
+    for b, block in enumerate(blocks):
+        if reps[b] is not None:
+            continue
+        cur = starts[_set_to_mask(min(block, key=_set_key))]
+        words, queue = {cur: EPSILON}, deque([cur])
+        while states[cur] & full:
+            i = queue.popleft()
+            for a in letters:
+                j = step[i * k + a]
+                if j >= 0 and good[j] and j not in words:
+                    words[j] = words[i] + (a,)
+                    queue.append(j)
+                    if not states[j] & full:
+                        cur = j
+                        break
+        u, seen, seq = words[cur], {cur: 0}, []
+        while len(seen) > len(seq):
+            cur, a = next((j, a) for a in letters
+                          if (j := step[cur * k + a]) >= 0 and good[j])
+            seq.append(a)
+            seen.setdefault(cur, len(seq))
+        reps[b] = Ray(u + tuple(seq[:seen[cur]]), tuple(seq[seen[cur]:]))
     return tuple(reps)
 
 
-def build_cover(g: LabeledGraph,
-                max_semigroup: int = DEFAULT_SEMIGROUP_CAP) -> KriegerCover:
+def build_cover(g: LabeledGraph) -> KriegerCover:
     """Construct the left Krieger cover of the shift presented by g.
 
     The input is conditioned internally (trimmed to its essential part
-    and determinized forward).  Cover vertices are the blocks of the
-    past partition; for each class i and each letter j that can be
-    prepended to the class there is one edge labeled j from the class
-    containing the prepended rays to i.
+    and determinized forward).  The pair graph of
+    :func:`realized_survivor_sets` gives the realized survivor sets and
+    the representatives no short ray gives.  Cover vertices are the
+    blocks of the past partition; for each class i and each letter j
+    that can be prepended to the class there is one edge labeled j
+    from the class containing the prepended rays to i.
 
     Raises
     ------
+    ResourceLimitError
+        Past ``PAIR_STATE_CAP`` pair states times vertices.
     CoverInvariantError
         If prepend nonemptiness or the target block differs across
         members of one block; this cannot happen for a correct
         implementation and indicates a bug.
     """
     g = make_right_resolving(trim_essential(g))
-    sg = transition_semigroup(g, max_semigroup)
-    starts, alive = _realized_starts(sg)
+    starts, states, step, good = _pair_graph(g)
     realized, pre = _survivor_family(g, starts)
     blocks = past_partition(g, realized)
     block_of = {c: i for i, block in enumerate(blocks) for c in block}
@@ -719,7 +600,7 @@ def build_cover(g: LabeledGraph,
             if targets:
                 edges.append(Edge(targets.pop(), i, a))
 
-    reps = _class_representatives(g, sg, blocks, starts, alive)
+    reps = _class_representatives(g, blocks, starts, states, step, good)
     cover = KriegerCover(g, tuple(frozenset(b) for b in blocks), reps,
                          tuple(sorted(edges,
                                       key=lambda e: (e.src, e.dst, e.label))),
@@ -808,46 +689,6 @@ def unique_labeled_path(cover: KriegerCover, word: Word,
         path.append(e)
         cur = e.src
     return tuple(reversed(path))
-
-
-def realized_survivor_sets_bruteforce(
-        g: LabeledGraph, bound: int) -> frozenset[frozenset[int]]:
-    """Survivor sets of all ultimately periodic rays u v v v ... with
-    preperiod and period no longer than ``bound``.
-
-    Words sharing a transition relation give rays with equal survivor
-    sets, so the enumeration runs over semigroup elements reachable
-    within ``bound`` letters instead of over the words themselves; the
-    greatest-fixed-point computation per period is done directly on
-    the relations, independently of the constant-domain cycle search
-    used by :func:`realized_survivor_sets`.
-    """
-    require_essential(g)
-    sg = transition_semigroup(g)
-    n = g.vertex_count
-    full = g.full_mask()
-    prefix_idxs = [0] + [i for i in range(len(sg.relations))
-                         if sg.nonempty_depth[i] is not None
-                         and sg.nonempty_depth[i] <= bound]
-    period_idxs = [i for i in range(len(sg.relations))
-                   if sg.nonempty_depth[i] is not None
-                   and sg.nonempty_depth[i] <= bound]
-    out: set[int] = set()
-    for pi in period_idxs:
-        rel = sg.relations[pi]
-        cur = full
-        while True:
-            nxt = rel.preimage(cur)
-            if nxt == cur:
-                break
-            cur = nxt
-        if not cur:
-            continue
-        for ui in prefix_idxs:
-            m = sg.relations[ui].preimage(cur)
-            if m:
-                out.add(m)
-    return frozenset(_mask_to_set(m) for m in out)
 
 
 def cover_to_dot(cover: KriegerCover) -> str:

@@ -103,7 +103,7 @@ def test_criterion_3_isomorphism_skeleton():
 
 
 def test_criterion_4_oracle_equivalence():
-    """Realized survivor sets from the semigroup match brute-force
+    """Realized survivor sets from the pair graph match brute-force
     ultimately-periodic ray enumeration at bound 10, exactly."""
     for name, g in corpus_graphs():
         g = make_right_resolving(trim_essential(g))

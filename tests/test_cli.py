@@ -139,6 +139,51 @@ class TestOracle:
                      "--bound", "1"]) == 0
         assert capsys.readouterr().out == "1 set via both methods\n"
 
+    def test_mismatch_names_both_methods(self, write, capsys, monkeypatch):
+        # the even shift realizes {a}, {b} and {a, b}
+        import soficshift.semigroup as sm
+        path = write("even.shift", EVEN_TEXT)
+        monkeypatch.setattr(sm, "realized_survivor_sets_bruteforce",
+                            lambda g, bound: frozenset(
+                                {frozenset({0}), frozenset({0, 2})}))
+        assert main(["oracle", path]) == 1
+        assert capsys.readouterr().out == (
+            "mismatch: pair-graph method found 3, ray enumeration found 2\n"
+            "only pair graph: [[0, 1], [1]]\n"
+            "only enumeration: [[0, 2]]\n")
+
+
+class TestImports:
+    def test_cover_and_verify_load_neither_ktheory_nor_semigroup(
+            self, write):
+        path = write("even.shift", EVEN_TEXT)
+        script = textwrap.dedent("""
+            import sys
+            from soficshift.cli import main
+            main(["cover", sys.argv[1]])
+            main(["verify", sys.argv[1]])
+            print(sorted(m for m in sys.modules
+                         if m in ("soficshift.ktheory",
+                                  "soficshift.semigroup")))
+        """)
+        src = os.path.dirname(os.path.dirname(soficshift.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, path],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_lazy_names_resolve(self):
+        from soficshift import krieger, ktheory, semigroup
+        assert soficshift.k_groups is ktheory.k_groups
+        assert soficshift.TransitionSemigroup is semigroup.TransitionSemigroup
+        assert krieger.transition_semigroup is semigroup.transition_semigroup
+        assert krieger.SEMIGROUP_ROW_CAP == semigroup.SEMIGROUP_ROW_CAP
+        with pytest.raises(AttributeError):
+            soficshift.no_such_name
+        with pytest.raises(AttributeError):
+            krieger.no_such_name
+
 
 class TestWords:
     def test_even_length_two(self, write, capsys):
@@ -202,9 +247,46 @@ class TestResourceLimits:
         assert proc.stdout == ""
 
     def test_largest_ladder_within_caps_still_builds(self, write):
-        # 11 vertices determinize to 1,024 and the semigroup holds 2,047
-        # elements: about 2.1 million stored rows, under the row cap
+        # 11 vertices determinize to 1,024 and the pair graph holds
+        # 2,047 states: about 2.1 million stored vertices, under the
+        # pair-state cap
         proc = run_limited_cover(write("ladder11.shift", ladder_text(11)),
                                  800_000 * 1024)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("classes: 1\n")
+
+    def test_twelve_vertex_ladder_builds_under_memory_limit(self, write):
+        # 12 vertices determinize to 2,048, the most the subset cap
+        # allows, and the pair graph holds 4,095 states: about 8.4
+        # million stored vertices, under the pair-state cap
+        proc = run_limited_cover(write("ladder12.shift", ladder_text(12)),
+                                 800_000 * 1024)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("classes: 1\n")
+
+    def test_pair_graph_candidates_refused_under_memory_limit(self, write):
+        # a is the 30-cycle and b a loop on every vertex but v0, so
+        # every V∖S is a preimage pre_w(V): 2**30 - 1 candidates, which
+        # the pair-state cap stops while they are still being listed
+        n = 30
+        lines = ["alphabet a b"] + [f"vertex v{i}" for i in range(n)]
+        lines += [f"edge v{i} v{(i + 1) % n} a" for i in range(n)]
+        lines += [f"edge v{i} v{i} b" for i in range(1, n)]
+        proc = run_limited_cover(write("rotation30.shift",
+                                       "\n".join(lines) + "\n"),
+                                 800_000 * 1024)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "error: pair graph exceeds 16777216 stored vertices: 559240 "
+            "pair states of 30 vertices"), proc.stderr
+        assert proc.stdout == ""
+
+    def test_pair_state_cap_exits_2(self, write, capsys, monkeypatch):
+        import soficshift.krieger as kr
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 9)
+        assert main(["cover", write("even.shift", EVEN_TEXT)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: pair graph exceeds 9 stored vertices: 4 pair states "
+            "of 2 vertices each are stored\n")

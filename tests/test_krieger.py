@@ -56,11 +56,51 @@ def naive_alive(sg):
     return alive
 
 
-def reference_representative(g, sg, block, cap):
-    """Slow reference for one block's representative: the first ray in
-    (total length, preperiod length, lexicographic) order up to ``cap``
-    whose survivor set lies in the block, else the forever-walk from
-    the smallest alive element whose domain lies in the block."""
+def alive_elements(sg, doms):
+    """Slow reference for the realized sets, from the semigroup: the
+    flags of the elements that can keep composing letters forever
+    without their domain shrinking, i.e. that reach a directed cycle of
+    the constant-domain subgraph (edges i -> step[i][a] with
+    doms[step[i][a]] == doms[i]).  Greatest fixed point by reverse-edge
+    counting: an element dies once every constant-domain successor has
+    died."""
+    n = len(doms)
+    count = [0] * n
+    preds = [[] for _ in range(n)]
+    for i, row in enumerate(sg.step):
+        for j in row:
+            if doms[j] == doms[i]:
+                count[i] += 1
+                preds[j].append(i)
+    alive = bytearray([1]) * n
+    dead = [i for i in range(n) if not count[i]]
+    for i in dead:
+        alive[i] = 0
+    while dead:
+        j = dead.pop()
+        for i in preds[j]:
+            count[i] -= 1
+            if not count[i]:
+                alive[i] = 0
+                dead.append(i)
+    return alive
+
+
+def semigroup_realized_sets(g):
+    """Slow reference for ``realized_survivor_sets``: a domain is
+    realized as a survivor set exactly when some alive semigroup
+    element has it."""
+    sg = transition_semigroup(g)
+    doms = [rel.domain_mask() for rel in sg.relations]
+    return frozenset(
+        frozenset(v for v in range(g.vertex_count) if d >> v & 1)
+        for d, live in zip(doms, alive_elements(sg, doms)) if live and d)
+
+
+def short_ray_representative(g, block, cap):
+    """Slow reference for the first pass of the representatives: the
+    first ray in (total length, preperiod length, lexicographic) order
+    up to ``cap`` whose survivor set lies in the block, else None."""
     letters = list(g.alphabet)
     for total in range(1, cap + 1):
         for lu in range(total):
@@ -68,22 +108,75 @@ def reference_representative(g, sg, block, cap):
                 for v in itertools.product(letters, repeat=total - lu):
                     if survivor_set(g, Ray(u, v)) in block:
                         return Ray(u, v)
-    doms = [rel.domain_mask() for rel in sg.relations]
-    alive = naive_alive(sg)
-    block_masks = {sum(1 << v for v in c) for c in block}
-    start = min(i for i in alive if doms[i] in block_masks)
-    seen = {start: 0}
-    seq = []
-    cur = start
+    return None
+
+
+def track_representative(g, block):
+    """Slow reference for the representative of a block with no short
+    ray, from per-vertex tracks and no pair graph.  D is the block's
+    least set.  Words are taken in length-lex order until one keeps
+    every track from D alive, lets every other track die without
+    meeting one of them, and ends on vertices whose tracks can go on
+    forever; the walk from those ends then takes the least letter that
+    keeps them able to, until the set of ends repeats."""
+    letters = list(g.alphabet)
+    head = {(e.src, e.label): e.dst for e in g.edges}
+    d = min(block, key=lambda c: (len(c), tuple(sorted(c))))
+
+    def move(ends, a):
+        # the ends of the tracks from a set after a, or None if one dies
+        out = [head.get((v, a)) for v in ends]
+        return None if None in out else frozenset(out)
+
+    def forever(ends):
+        # naive sweeps over the sets of ends reachable by moves
+        reach, todo = {ends}, [ends]
+        while todo:
+            cur = todo.pop()
+            for a in letters:
+                nxt = move(cur, a)
+                if nxt is not None and nxt not in reach:
+                    reach.add(nxt)
+                    todo.append(nxt)
+        alive, changed = set(reach), True
+        while changed:
+            changed = False
+            for s in list(alive):
+                if not any(move(s, a) in alive for a in letters):
+                    alive.discard(s)
+                    changed = True
+        return ends in alive
+
+    def first_word():
+        # tracks are (end, from D) pairs; dead tracks not from D drop out
+        level = [((), [(v, v in d) for v in range(g.vertex_count)])]
+        while True:
+            longer = []
+            for u, tracks in level:
+                ends = frozenset(v for v, mine in tracks if mine)
+                if all(mine for _, mine in tracks) and forever(ends):
+                    return u, ends
+                for a in letters:
+                    moved = [(head.get((v, a)), mine) for v, mine in tracks]
+                    if any(v is None for v, mine in moved if mine):
+                        continue
+                    mine_at = {v for v, mine in moved if mine}
+                    if not any(v in mine_at for v, mine in moved
+                               if not mine):
+                        longer.append((u + (a,), [t for t in moved
+                                                  if t[0] is not None]))
+            level = longer
+
+    u, ends = first_word()
+    seen, seq = {ends: 0}, []
     while True:
-        a = next(b for b in letters if sg.step[cur][b] in alive
-                 and doms[sg.step[cur][b]] == doms[cur])
+        a = next(a for a in letters
+                 if move(ends, a) is not None and forever(move(ends, a)))
         seq.append(a)
-        cur = sg.step[cur][a]
-        if cur in seen:
-            return Ray(sg.witnesses[start] + tuple(seq[:seen[cur]]),
-                       tuple(seq[seen[cur]:]))
-        seen[cur] = len(seq)
+        ends = move(ends, a)
+        if ends in seen:
+            return Ray(u + tuple(seq[:seen[ends]]), tuple(seq[seen[ends]:]))
+        seen[ends] = len(seq)
 
 
 def semigroup_level_partition(sg, realized, level=None):
@@ -184,6 +277,28 @@ def random_presentations(seed):
     return out
 
 
+# (letters, edges) of presentations with 2-3 letters and at most 5
+# vertices, right-resolving or not
+GENERATED_SHAPES = st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(0, k - 1)), min_size=1, unique=True))))
+
+
+def generated_graph(shape):
+    """The essential part of a generated shape; a shape whose shift is
+    empty is rejected."""
+    k, edges = shape
+    n = 1 + max(max(s, t) for s, t, _ in edges)
+    try:
+        return trim_essential(LabeledGraph(
+            Alphabet([str(a) for a in range(k)]),
+            [f"v{v}" for v in range(n)], edges))
+    except EmptyShiftError:
+        assume(False)
+
+
 def permutation_equivalent(a, b):
     """True iff b equals a up to one simultaneous row/column
     permutation (brute force, fine for desk-size matrices)."""
@@ -251,22 +366,21 @@ class TestTransitionSemigroup:
 
     def test_row_cap_counts_rows_per_element(self, monkeypatch, even_graph):
         # the even shift's semigroup has 7 elements of 2 rows each
-        import soficshift.krieger as kr
-        monkeypatch.setattr(kr, "SEMIGROUP_ROW_CAP", 14)
+        import soficshift.semigroup as sm
+        monkeypatch.setattr(sm, "SEMIGROUP_ROW_CAP", 14)
         assert len(transition_semigroup(even_graph)) == 7
-        monkeypatch.setattr(kr, "SEMIGROUP_ROW_CAP", 13)
+        monkeypatch.setattr(sm, "SEMIGROUP_ROW_CAP", 13)
         with pytest.raises(ResourceLimitError,
                            match="transition semigroup exceeds 13 stored "
                                  "rows: 6 elements of 2 rows"):
             transition_semigroup(even_graph)
 
     def test_alive_worklist_matches_sweeps(self):
-        import soficshift.krieger as kr
         for name, g in random_presentations(seed=312):
             g = make_right_resolving(g)
             sg = transition_semigroup(g)
             doms = [rel.domain_mask() for rel in sg.relations]
-            alive = kr._alive_elements(sg, doms)
+            alive = alive_elements(sg, doms)
             assert {i for i, live in enumerate(alive) if live} == \
                 naive_alive(sg), name
 
@@ -300,7 +414,7 @@ class TestRealizedSets:
         # constant one, emitted from both vertices, so {u} and {w} are
         # not survivor sets; yet each satisfies the backward chain
         # condition C = pre_a(C).  This is the documented pitfall the
-        # semigroup method avoids.
+        # pair-graph method avoids.
         a = Alphabet(["a"])
         g = LabeledGraph(a, ["u", "w"], [(0, 0, 0), (1, 1, 0)])
 
@@ -326,12 +440,80 @@ class TestRealizedSets:
         assert sets == {frozenset({0, 1})}
         assert naive > sets  # strict overgeneration
 
+    def test_non_right_resolving_input_rejected(self):
+        # 0 has two a-edges.  I(a a a ...) = {0, 1}, but from ({0, 1},
+        # {2}) the set move by a reaches ({0, 1, 2}, ∅), which neither
+        # letter can leave (2 has no a-edge, 0 no b-edge): the pair
+        # graph would miss {0, 1}, as it moves sets of ends and not the
+        # track of each start vertex
+        g = LabeledGraph(Alphabet(["a", "b"]), ["0", "1", "2"],
+                         [(0, 1, 0), (0, 2, 0), (1, 1, 0), (1, 0, 0),
+                          (2, 2, 1), (2, 0, 1)])
+        assert g.is_essential() and not g.is_right_resolving()
+        assert survivor_set(g, Ray((), (0,))) == {0, 1}
+        with pytest.raises(ValueError, match="right-resolving"):
+            realized_survivor_sets(g)
+        h = make_right_resolving(g)
+        sets, _ = realized_survivor_sets(h)
+        assert sets == realized_survivor_sets_bruteforce(
+            h, len(transition_semigroup(h)))
+
     def test_oracle_equivalence_at_semigroup_bound(self):
         for name, g in corpus_graphs():
             g = make_right_resolving(trim_essential(g))
             sets, _ = realized_survivor_sets(g)
             bound = len(transition_semigroup(g))
             assert sets == realized_survivor_sets_bruteforce(g, bound), name
+
+    def test_pair_graph_matches_semigroup_and_enumeration(self):
+        for name, g in corpus_graphs() + random_presentations(seed=315):
+            g = make_right_resolving(trim_essential(g))
+            sets, _ = realized_survivor_sets(g)
+            assert sets == semigroup_realized_sets(g), name
+            bound = len(transition_semigroup(g))
+            assert sets == realized_survivor_sets_bruteforce(g, bound), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(GENERATED_SHAPES)
+    def test_generated_presentations(self, shape):
+        g = make_right_resolving(generated_graph(shape))
+        sets, _ = realized_survivor_sets(g)
+        assert sets == semigroup_realized_sets(g)
+        bound = len(transition_semigroup(g))
+        assert sets == realized_survivor_sets_bruteforce(g, bound)
+
+    def test_pair_state_cap_weighs_states_by_vertices(self, monkeypatch,
+                                                      even_graph):
+        # the even shift's pair graph has 5 states of 2 vertices each
+        import soficshift.krieger as kr
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 10)
+        assert len(realized_survivor_sets(even_graph)[0]) == 3
+        assert build_cover(even_graph).class_count == 3
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 9)
+        for build in (realized_survivor_sets, build_cover):
+            with pytest.raises(ResourceLimitError,
+                               match="pair graph exceeds 9 stored "
+                                     "vertices: 4 pair states of 2 "
+                                     "vertices"):
+                build(even_graph)
+        # a move that merges a track from V∖D into one from D is barred:
+        # this golden-mean presentation has 4 pair states, not 6
+        golden = LabeledGraph(Alphabet(["0", "1"]), ["v0", "v1"],
+                              [(0, 0, 0), (0, 1, 1), (1, 0, 0)])
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 8)
+        assert build_cover(golden).class_count == 2
+
+    def test_build_never_builds_the_semigroup(self, monkeypatch):
+        import soficshift.semigroup as sm
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transition semigroup was built")
+        monkeypatch.setattr(sm, "transition_semigroup", refuse)
+        monkeypatch.setattr(sm, "TransitionSemigroup", refuse)
+        for name, g in corpus_graphs() + random_presentations(seed=316):
+            cover = build_cover(g)
+            assert realized_survivor_sets(cover.graph)[0] == \
+                frozenset(c for b in cover.class_sets for c in b), name
 
     def test_bruteforce_matches_direct_ray_enumeration(self):
         # validates the relation-level dedup inside the brute-force
@@ -412,22 +594,10 @@ class TestMooreRefinement:
         assert {0, 1, 2} <= levels and max(levels) >= 4
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
-        st.just(k),
-        st.integers(1, 5).flatmap(lambda n: st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                      st.integers(0, k - 1)), min_size=1, unique=True)))))
+    @given(GENERATED_SHAPES)
     def test_generated_presentations(self, shape):
         # any edge set, right-resolving or not; build_cover conditions it
-        k, edges = shape
-        n = 1 + max(max(s, t) for s, t, _ in edges)
-        try:
-            g = trim_essential(LabeledGraph(
-                Alphabet([str(a) for a in range(k)]),
-                [f"v{v}" for v in range(n)], edges))
-        except EmptyShiftError:
-            assume(False)
-        check_against_semigroup(g)
+        check_against_semigroup(generated_graph(shape))
 
     def test_family_must_be_closed_under_preimages(self, even_graph):
         # {a, b} is realized, but its preimage under 1 is {a}
@@ -463,8 +633,7 @@ class TestBuildCover:
 
     def test_representative_fallback_path(self, monkeypatch):
         # with the bounded search disabled, representatives come from
-        # cycles of the constant-domain reachability graph and must
-        # still land in their classes
+        # walks in the pair graph and must still land in their classes
         import soficshift.krieger as kr
         monkeypatch.setattr(kr, "_REPRESENTATIVE_SEARCH_CAP", 0)
         for name, g in corpus_graphs():
@@ -475,17 +644,22 @@ class TestBuildCover:
     @pytest.mark.parametrize("cap", [None, 0])
     def test_representatives_match_per_block_reference(self, monkeypatch,
                                                          cap):
+        # classes with a short ray take the first one; the others, all
+        # of them under cap 0, take the walk of track_representative
         import soficshift.krieger as kr
         if cap is not None:
             monkeypatch.setattr(kr, "_REPRESENTATIVE_SEARCH_CAP", cap)
+        fallbacks = 0
         for name, g in random_presentations(seed=311):
             cover = build_cover(g)
-            sg = transition_semigroup(cover.graph)
-            expect = tuple(
-                reference_representative(cover.graph, sg, block,
-                                         kr._REPRESENTATIVE_SEARCH_CAP)
-                for block in cover.class_sets)
-            assert cover.representatives == expect, name
+            for block, rep in zip(cover.class_sets, cover.representatives):
+                want = short_ray_representative(
+                    cover.graph, block, kr._REPRESENTATIVE_SEARCH_CAP)
+                if want is None:
+                    fallbacks += 1
+                    want = track_representative(cover.graph, block)
+                assert rep == want, (name, sorted(map(sorted, block)))
+        assert fallbacks >= 20
 
     def test_full_two_shift_cover(self):
         cover = build_cover(make_full(2))
