@@ -8,6 +8,14 @@ along the out-edges of its class, and two unions are equal exactly
 when their refinements to a common depth coincide, which makes every
 set identity decidable.
 
+A union is stored as one bitmask over classes per word, all words of
+one depth: ``{w: mask}`` holds the cells w·E_i for the bits i of the
+mask.  Union, intersection and complement are then ``|``, ``&`` and
+``& ~`` per word; refining maps a class mask to one mask per letter,
+the union of the out-splits of its classes; and merging back asks, per
+prefix, whether the per-letter masks are exactly a union of whole
+out-splits.  Both answers are memoized by mask on the cover's index.
+
 The noncommutative generators of the ambient algebra act on this
 model through :func:`conj_by_letter` (conjugation by a letter's
 partial isometry) and :func:`post_image` (the support of the letter's
@@ -15,10 +23,10 @@ co-range projection); nothing noncommutative is ever represented
 directly.
 
 Every step through the cover reads the cover's adjacency index
-(:class:`~soficshift.krieger.CoverIndex`: out-edges, out-splits and
-edges by range and label), built once per cover instance on first use,
-so no operation scans the edge tuple.  A cover made by ``with_edges``
-or ``dataclasses.replace`` builds its own index.
+(:class:`~soficshift.krieger.CoverIndex`: out-edges, out-split masks,
+edges by range and label, and the memos above), built once per cover
+instance on first use, so no operation scans the edge tuple.  A cover
+made by ``with_edges`` or ``dataclasses.replace`` builds its own index.
 
 Examples
 --------
@@ -41,12 +49,68 @@ only the second and the third:
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .krieger import KriegerCover
+from .krieger import CoverIndex, KriegerCover
 from .shiftcore import EPSILON, Word
 
 Cell = tuple[Word, int]
+Masks = dict[Word, int]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    # the set bits of a mask, least first
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _sources(cover: KriegerCover, word: Word, mask: int) -> dict[int, int]:
+    # source class -> mask of the classes of ``mask`` whose unique path
+    # labeled ``word`` starts there.  All classes walk backward
+    # together, one (range, label) group per step, with the walks that
+    # have met kept as one; the error raised is that of the least class
+    # whose walk meets two edges with one label into one class.
+    index = cover.index
+    by_range_label = index.by_range_label
+    at = {i: 1 << i for i in _bits(mask)}
+    # (least start class, class, letter) of the first ambiguous walk
+    ambiguous: tuple[int, int, int] | None = None
+    for a in reversed(word):
+        nxt: dict[int, int] = {}
+        for cur, starts in at.items():
+            edges = by_range_label.get((cur, a))
+            if edges is None:
+                continue
+            if len(edges) > 1:
+                first = (starts & -starts).bit_length() - 1
+                if ambiguous is None or first < ambiguous[0]:
+                    ambiguous = (first, cur, a)
+                continue
+            src = edges[0].src
+            nxt[src] = nxt.get(src, 0) | starts
+        at = nxt
+    if ambiguous is not None:
+        index.edge_into(ambiguous[1], ambiguous[2])  # raises its error
+    return at
+
+
+def _word_mask(cover: KriegerCover, word: Word) -> int:
+    # the classes the word can precede, as a bitmask (see word_classes);
+    # forward, each letter's step is one refinement step
+    index = cover.index
+    if index.left_resolving:
+        ends = (1 << cover.class_count) - 1
+        for a in word:
+            ends = next((sub for b, sub in _letter_masks(index, ends)
+                         if b == a), 0)
+        return ends
+    out = 0
+    for starts in _sources(cover, word,
+                           (1 << cover.class_count) - 1).values():
+        out |= starts
+    return out
 
 
 def word_classes(cover: KriegerCover, word: Word) -> frozenset[int]:
@@ -54,8 +118,10 @@ def word_classes(cover: KriegerCover, word: Word) -> frozenset[int]:
     decided by existence of the unique cover path labeled ``word``
     ending at i.
 
-    All classes walk backward together, one (range, label) group per
-    step, with the walks that have met kept as one.
+    On a left-resolving cover these are the ends of the paths labeled
+    ``word``, found forward one letter at a time.  Otherwise all classes
+    walk backward together, one (range, label) group per step, with the
+    walks that have met kept as one.
 
     Raises
     ------
@@ -63,28 +129,7 @@ def word_classes(cover: KriegerCover, word: Word) -> frozenset[int]:
         The error of the first class, in index order, whose backward
         walk meets two edges with one label into one class.
     """
-    index = cover.index
-    by_range_label = index.by_range_label
-    # current class of the walks -> the classes they started from
-    at: dict[int, list[int]] = {i: [i] for i in range(cover.class_count)}
-    # (first start class, class, letter) of the first ambiguous walk
-    ambiguous: tuple[int, int, int] | None = None
-    for a in reversed(word):
-        nxt: dict[int, list[int]] = {}
-        for cur, starts in at.items():
-            edges = by_range_label.get((cur, a))
-            if edges is None:
-                continue
-            if len(edges) > 1:
-                first = min(starts)
-                if ambiguous is None or first < ambiguous[0]:
-                    ambiguous = (first, cur, a)
-                continue
-            nxt.setdefault(edges[0].src, []).extend(starts)
-        at = nxt
-    if ambiguous is not None:
-        index.edge_into(ambiguous[1], ambiguous[2])  # raises its error
-    return frozenset(i for starts in at.values() for i in starts)
+    return frozenset(_bits(_word_mask(cover, word)))
 
 
 def _cell_source(cover: KriegerCover, cell: Cell) -> int | None:
@@ -100,21 +145,98 @@ def _cell_source(cover: KriegerCover, cell: Cell) -> int | None:
     return i
 
 
+def _letter_masks(index: CoverIndex,
+                  mask: int) -> tuple[tuple[int, int], ...]:
+    # one refinement step of the classes of ``mask``: (letter, mask of
+    # the ranges of their out-edges with that letter) pairs
+    memo = index.refine_memo
+    if mask not in memo:
+        split_masks = index.split_masks
+        by_letter: dict[int, int] = {}
+        for i in _bits(mask):
+            for a, sub in split_masks.get(i, ()):
+                by_letter[a] = by_letter.get(a, 0) | sub
+        memo[mask] = tuple(by_letter.items())
+    return memo[mask]
+
+
+def _split_owners(index: CoverIndex,
+                  key: tuple[tuple[int, int], ...]) -> int | None:
+    # The classes whose out-splits tile the (letter, mask) pairs of
+    # ``key`` exactly, as a mask, or None if no such classes exist.
+    # Splits of distinct classes are disjoint on left-resolving covers,
+    # so the decomposition is unique.  Only a class with an edge
+    # labeled a into class k can own the pair (a, k).
+    memo = index.merge_memo
+    if key not in memo:
+        letters = dict(key)
+        owners = 0
+        for a, mask in key:
+            for k in _bits(mask):
+                for e in index.by_range_label.get((k, a), ()):
+                    owners |= 1 << e.src
+        chosen = count = 0
+        covered: dict[int, int] = {}
+        for i in _bits(owners):
+            split = index.split_masks[i]
+            if all(letters.get(a, 0) & sub == sub for a, sub in split):
+                chosen |= 1 << i
+                for a, sub in split:
+                    count += sub.bit_count()
+                    covered[a] = covered.get(a, 0) | sub
+        total = sum(mask.bit_count() for mask in letters.values())
+        memo[key] = chosen if count == total and covered == letters \
+            else None
+    return memo[key]
+
+
+def _merge_once(index: CoverIndex, masks: Masks) -> Masks | None:
+    # Undo one refinement step if every prefix's per-letter masks are
+    # exactly a union of whole out-splits.
+    groups: dict[Word, list[tuple[int, int]]] = {}
+    for w, mask in masks.items():
+        groups.setdefault(w[:-1], []).append((w[-1], mask))
+    merged: Masks = {}
+    for prefix, pairs in groups.items():
+        owners = _split_owners(index, tuple(sorted(pairs)))
+        if owners is None:
+            return None
+        merged[prefix] = owners
+    return merged
+
+
 class ClopenSet:
     """A finite union of marked cylinders at one common depth.
 
-    Instances are immutable and canonical: the cell set is merged down
-    to the smallest depth that represents the same set of rays, so
+    ``masks`` maps each word of length ``depth`` to the bitmask of the
+    classes i whose cells w·E_i the union holds; words without cells
+    are absent.  ``cells`` gives the same union as a frozenset of
+    (word, class) pairs.
+
+    Instances are immutable and canonical: the union is merged down to
+    the smallest depth that represents the same set of rays, so
     semantically equal values compare equal structurally as well.
+
+    >>> from .krieger import build_cover
+    >>> from .shiftcore import parse_presentation
+    >>> even = build_cover(parse_presentation(
+    ...     "alphabet 0 1\\nvertex a\\nvertex b\\n"
+    ...     "edge a a 1\\nedge a b 0\\nedge b a 0\\n"))
+    >>> F = class_projection(even, 2) | conj_by_letter(
+    ...     even, 1, class_projection(even, 2))
+    >>> F.depth, F.masks
+    (1, {(0,): 4, (1,): 4})
+    >>> F.render()
+    '{0·E3, 1·E3}'
+    >>> sorted(F.cells)
+    [((0,), 2), ((1,), 2)]
     """
 
-    __slots__ = ("cover", "depth", "cells")
+    __slots__ = ("cover", "depth", "masks")
 
     def __init__(self, cover: KriegerCover, depth: int,
                  cells: Iterable[Cell], validate: bool = True):
-        # the engine's own operations pass frozensets of tuple cells
-        if not isinstance(cells, frozenset):
-            cells = frozenset((tuple(w), i) for w, i in cells)
+        cells = frozenset((tuple(w), i) for w, i in cells)
         if any(len(w) != depth for w, _ in cells):
             raise ValueError("cell word length differs from depth")
         if validate:
@@ -125,15 +247,35 @@ class ClopenSet:
                     raise ValueError(
                         f"empty cell: no path labeled {w} into class "
                         f"{i + 1}")
+        masks: Masks = {}
+        for w, i in cells:
+            masks[w] = masks.get(w, 0) | 1 << i
+        self._settle(cover, depth, masks)
+
+    def _settle(self, cover: KriegerCover, depth: int, masks: Masks) -> None:
+        # store the canonical form of masks at depth
         while depth > 0:
-            merged = _merge_once(cover, cells)
+            merged = _merge_once(cover.index, masks)
             if merged is None:
                 break
-            cells = merged
+            masks = merged
             depth -= 1
         self.cover = cover
         self.depth = depth
-        self.cells = cells
+        self.masks = masks
+
+    @classmethod
+    def _of(cls, cover: KriegerCover, depth: int,
+            masks: Masks) -> "ClopenSet":
+        # the canonical set of masks (no zero mask) at depth
+        out = cls.__new__(cls)
+        out._settle(cover, depth, masks)
+        return out
+
+    @property
+    def cells(self) -> frozenset[Cell]:
+        return frozenset((w, i) for w, mask in self.masks.items()
+                         for i in _bits(mask))
 
     def refine(self, depth: int) -> "ClopenSet":
         """The same set of rays re-expressed at a greater depth.
@@ -143,45 +285,57 @@ class ClopenSet:
         """
         if depth < self.depth:
             raise ValueError("cannot refine to a smaller depth")
-        out_edges = self.cover.index.out
-        cells = self.cells
+        if depth == self.depth:
+            return self
+        index = self.cover.index
+        masks = self.masks
         for _ in range(depth - self.depth):
-            cells = frozenset((w + (e.label,), e.dst)
-                              for w, i in cells
-                              for e in out_edges.get(i, ()))
+            masks = {w + (a,): sub for w, mask in masks.items()
+                     for a, sub in _letter_masks(index, mask)}
         out = ClopenSet.__new__(ClopenSet)
         out.cover = self.cover
         out.depth = depth
-        out.cells = cells
+        out.masks = masks
         return out
 
-    def _common(self, other: "ClopenSet") -> tuple[frozenset, frozenset]:
+    def _common(self, other: "ClopenSet") -> tuple[Masks, Masks]:
         if self.cover is not other.cover:
             raise ValueError("operands live over different covers")
         d = max(self.depth, other.depth)
-        return self.refine(d).cells, other.refine(d).cells
+        return self.refine(d).masks, other.refine(d).masks
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         a, b = self._common(other)
-        return ClopenSet(self.cover, max(self.depth, other.depth), a | b,
-                         validate=False)
+        out = dict(a)
+        for w, mask in b.items():
+            out[w] = out.get(w, 0) | mask
+        return ClopenSet._of(self.cover, max(self.depth, other.depth), out)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         a, b = self._common(other)
-        return ClopenSet(self.cover, max(self.depth, other.depth), a & b,
-                         validate=False)
+        out = {}
+        for w, mask in a.items():
+            meet = mask & b.get(w, 0)
+            if meet:
+                out[w] = meet
+        return ClopenSet._of(self.cover, max(self.depth, other.depth), out)
 
     def complement(self) -> "ClopenSet":
         """Complement relative to the whole shift space."""
         everything = full_space(self.cover).refine(self.depth)
-        return ClopenSet(self.cover, self.depth,
-                         everything.cells - self.cells, validate=False)
+        own = self.masks
+        out = {}
+        for w, mask in everything.masks.items():
+            rest = mask & ~own.get(w, 0)
+            if rest:
+                out[w] = rest
+        return ClopenSet._of(self.cover, self.depth, out)
 
     __or__ = union
     __and__ = intersect
 
     def is_empty(self) -> bool:
-        return not self.cells
+        return not self.masks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClopenSet):
@@ -192,65 +346,44 @@ class ClopenSet:
         return a == b
 
     def __hash__(self) -> int:
-        return hash((id(self.cover), self.depth, self.cells))
+        return hash((id(self.cover), self.depth,
+                     frozenset(self.masks.items())))
 
     def render(self) -> str:
         """Sorted cell list, e.g. ``{10·E1, 10·E3}``."""
         parts = []
-        for w, i in sorted(self.cells, key=lambda c: (c[0], c[1])):
-            if w:
-                parts.append(f"{self.cover.alphabet.render(w)}·E{i + 1}")
-            else:
-                parts.append(f"E{i + 1}")
+        for w in sorted(self.masks):
+            for i in _bits(self.masks[w]):
+                if w:
+                    parts.append(f"{self.cover.alphabet.render(w)}·E{i + 1}")
+                else:
+                    parts.append(f"E{i + 1}")
         return "{" + ", ".join(parts) + "}"
 
     def __repr__(self) -> str:
         return f"ClopenSet({self.render()})"
 
 
-def _merge_once(cover: KriegerCover,
-                cells: frozenset[Cell]) -> frozenset[Cell] | None:
-    # Undo one refinement step if the cell set is exactly a union of
-    # full out-edge splits; splits of distinct classes are disjoint on
-    # left-resolving covers, so the decomposition is unique.  Only a
-    # class with an edge labeled a into class k can own the pair (a, k).
-    index = cover.index
-    splits, by_range_label = index.out_split, index.by_range_label
-    groups: dict[Word, set[tuple[int, int]]] = {}
-    for w, i in cells:
-        groups.setdefault(w[:-1], set()).add((w[-1], i))
-    merged: set[Cell] = set()
-    for prefix, pairs in groups.items():
-        owners = {e.src for a, k in pairs
-                  for e in by_range_label.get((k, a), ())}
-        chosen = [i for i in owners if splits[i] <= pairs]
-        if sum(len(splits[i]) for i in chosen) != len(pairs):
-            return None
-        covered = set()
-        for i in chosen:
-            covered |= splits[i]
-        if covered != pairs:
-            return None
-        merged.update((prefix, i) for i in chosen)
-    return frozenset(merged)
+def _at_word(cover: KriegerCover, word: Word, mask: int) -> ClopenSet:
+    # the cells word·E_i over the classes i of mask
+    word = tuple(word)
+    return ClopenSet._of(cover, len(word), {word: mask} if mask else {})
 
 
 def full_space(cover: KriegerCover) -> ClopenSet:
     """The whole shift space: the union of every class at depth 0."""
-    return ClopenSet(cover, 0, [(EPSILON, i)
-                                for i in range(cover.class_count)],
-                     validate=False)
+    return _at_word(cover, EPSILON, (1 << cover.class_count) - 1)
 
 
 def empty_set(cover: KriegerCover) -> ClopenSet:
-    return ClopenSet(cover, 0, [], validate=False)
+    return _at_word(cover, EPSILON, 0)
 
 
 def class_projection(cover: KriegerCover, i: int) -> ClopenSet:
     """The class E_i itself, as the single cell at depth 0."""
     if not (0 <= i < cover.class_count):
         raise ValueError(f"class index {i} out of range")
-    return ClopenSet(cover, 0, [(EPSILON, i)], validate=False)
+    return _at_word(cover, EPSILON, 1 << i)
 
 
 def cylinder(cover: KriegerCover, word: Word) -> ClopenSet:
@@ -258,9 +391,7 @@ def cylinder(cover: KriegerCover, word: Word) -> ClopenSet:
     word is inadmissible, and the whole space for the empty word."""
     if not word:
         return full_space(cover)
-    return ClopenSet(cover, len(word),
-                     [(tuple(word), i) for i in word_classes(cover, word)],
-                     validate=False)
+    return _at_word(cover, word, _word_mask(cover, word))
 
 
 def post_image(cover: KriegerCover, word: Word) -> ClopenSet:
@@ -270,23 +401,34 @@ def post_image(cover: KriegerCover, word: Word) -> ClopenSet:
     This is the support of the co-range projection of the word's
     partial isometry.
     """
-    return ClopenSet(cover, 0,
-                     [(EPSILON, i) for i in word_classes(cover, word)],
-                     validate=False)
+    return _at_word(cover, EPSILON, _word_mask(cover, word))
 
 
 def conj_by_letter(cover: KriegerCover, letter: int,
                    F: ClopenSet) -> ClopenSet:
     """Prepend a letter: the rays j x with x in F and j x in the
     shift; models conjugation of F's indicator by the letter's
-    partial isometry."""
-    by_range_label = cover.index.by_range_label
-    cells = []
-    for w, i in F.cells:
-        src = _cell_source(cover, (w, i))
-        if src is not None and (src, letter) in by_range_label:
-            cells.append(((letter,) + w, i))
-    return ClopenSet(cover, F.depth + 1, cells, validate=False)
+    partial isometry.
+
+    Raises
+    ------
+    AmbiguousLabelError
+        The error of the least cell (word, then class) whose backward
+        walk meets two edges with one label into one class.
+    """
+    entered = cover.index.entered.get(letter, 0)
+    masks = {}
+    for w, mask in sorted(F.masks.items()):
+        if w:
+            kept = 0
+            for src, starts in _sources(cover, w, mask).items():
+                if entered >> src & 1:
+                    kept |= starts
+        else:
+            kept = mask & entered
+        if kept:
+            masks[(letter,) + w] = kept
+    return ClopenSet._of(cover, F.depth + 1, masks)
 
 
 def shift_preimage(cover: KriegerCover, F: ClopenSet) -> ClopenSet:
@@ -302,12 +444,8 @@ def diagonal_generator(cover: KriegerCover, mu: Word, nu: Word) -> ClopenSet:
     """The diagonal generator supported on rays that begin with mu and
     whose tail can also be preceded by nu: cells (mu, i) over classes
     i that both words can precede."""
-    classes = word_classes(cover, mu) & word_classes(cover, nu)
-    if not mu:
-        return ClopenSet(cover, 0, [(EPSILON, i) for i in classes],
-                         validate=False)
-    return ClopenSet(cover, len(mu), [(tuple(mu), i) for i in classes],
-                     validate=False)
+    mask = _word_mask(cover, mu) & _word_mask(cover, nu)
+    return _at_word(cover, mu, mask)
 
 
 def express_class_projection(
@@ -350,8 +488,12 @@ def _formula_product(cover: KriegerCover, images: Iterable[ClopenSet],
                      complements: Iterable[ClopenSet]) -> ClopenSet:
     # the product of a projection formula from its factors: the post
     # images of the positive words, then the complemented post images
-    # of the negative words, each taken when it is reached
-    out = full_space(cover)
+    # of the negative words.  Each factor has depth 0 over this cover,
+    # so the product is one AND of their masks.
+    mask = (1 << cover.class_count) - 1
     for factor in chain(images, complements):
-        out = out.intersect(factor)
-    return out
+        if factor.depth or factor.cover is not cover:
+            raise ValueError("formula factor is not a depth-0 set over "
+                             "this cover")
+        mask &= factor.masks.get(EPSILON, 0)
+    return _at_word(cover, EPSILON, mask)

@@ -12,9 +12,14 @@ it breaks, with a witness.
 Checks are counted per word but decided once per distinct input they
 depend on: the word families once per scan state, the conjugation
 identity once per post image (the set of classes a word can precede),
-the projection formulas once per table word's post image.  The memo
-tables are locals of one call, and each witness is the one a word by
-word, class by class run gives.
+the projection formulas once per table word's post image.  One
+``verify_all`` call takes each word's post image once, in a table that
+the word scan, the conjugation check and the formulas share.  Range
+projection orthogonality groups the edges by the depth-1 cells of
+their images and by their (label, range) pairs; every pair in a group
+fails, so only the least such pair is intersected, for its witness.
+The memo tables are locals of one call, and each witness is the one a
+word by word, class by class, pair by pair run gives.
 
 Reports are plain data; rendering is left to callers.
 
@@ -128,8 +133,34 @@ def _class_numbers(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _scan_words(cover: KriegerCover, max_len: int,
-                clopen_len: int) -> _Recorder:
+def _edge_str(cover: KriegerCover, e: Edge) -> str:
+    return f"E{e.src + 1}--{cover.alphabet.tokens[e.label]}-->E{e.dst + 1}"
+
+
+class _PostImages(dict):
+    """Per word, its post image by the graph route
+    (``diagonal.post_image``), or the message of its ambiguity error.
+
+    Each is taken on first request and kept for the table's lifetime,
+    one ``verify_all`` call.  Only messages are kept, never the errors,
+    whose tracebacks would tie the cover into reference cycles.
+    """
+
+    def __init__(self, cover: KriegerCover):
+        super().__init__()
+        self.cover = cover
+
+    def __missing__(self, word: Word) -> ClopenSet | str:
+        try:
+            value = diagonal.post_image(self.cover, word)
+        except AmbiguousLabelError as exc:
+            value = str(exc)
+        self[word] = value
+        return value
+
+
+def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
+                post_images: _PostImages | None = None) -> _Recorder:
     """The word-indexed families over all admissible words up to
     ``max_len``, by a dynamic program over (length, scan state).
 
@@ -146,9 +177,11 @@ def _scan_words(cover: KriegerCover, max_len: int,
     precede no class by either route) never extended.  A family's
     witness is thus the least word of its first failing pair, the first
     failing word.  Up to ``clopen_len`` the state also holds the word
-    itself, so ``word_range_projections`` runs the clopen engine once
-    per word.
+    itself, so ``word_range_projections`` compares each word's post
+    image, read from ``post_images``, with the relation route.
     """
+    if post_images is None:
+        post_images = _PostImages(cover)
     rec = _Recorder()
     m = cover.class_count
     t = cover.scan_tables
@@ -283,19 +316,18 @@ def _scan_words(cover: KriegerCover, max_len: int,
             # relation-route class sum
             if k <= clopen_len:
                 rec.count("word_range_projections")
-                try:
-                    lhs = diagonal.post_image(cover, w)
-                    rhs = ClopenSet(cover, 0,
-                                    [(EPSILON, i) for i in range(m)
-                                     if a_set >> i & 1],
-                                    validate=False)
+                lhs = post_images[w]
+                if isinstance(lhs, str):
+                    rec.fail("word_range_projections", lambda: (
+                        f"word {_word_str(cover, w)}: {lhs}"))
+                else:
+                    rhs = diagonal.ClopenSet(
+                        cover, 0, [(EPSILON, i) for i in range(m)
+                                   if a_set >> i & 1], validate=False)
                     if lhs != rhs:
                         rec.fail("word_range_projections", lambda: (
                             f"word {_word_str(cover, w)}: "
                             f"{lhs.render()} != {rhs.render()}"))
-                except AmbiguousLabelError as exc:
-                    rec.fail("word_range_projections", lambda: (
-                        f"word {_word_str(cover, w)}: {exc}"))
         frontier = nxt
     for fam in ("word_path_equivalence", "shifted_cylinder_classes",
                 "labeled_path_ranges", "path_concatenation",
@@ -395,28 +427,29 @@ def _conjugation_outcome(cover: KriegerCover,
     return counted, failure
 
 
-def _check_conjugation(cover: KriegerCover, rec: _Recorder,
-                       max_len: int) -> None:
+def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
+                       post_images: _PostImages | None = None) -> None:
     """conjugation_locality over the words up to ``CLOPEN_WORD_CAP``.
 
-    A word reaches the identity only through its post image F, so the
-    outcome is decided once per distinct F and counted per word; the
-    witness is the first failing (word, letter), words in length then
-    lexicographic order.
+    A word reaches the identity only through its post image F, read
+    from ``post_images``, so the outcome is decided once per distinct F
+    and counted per word; the witness is the first failing (word,
+    letter), words in length then lexicographic order.
     """
     from .shiftcore import words_of_length
 
+    if post_images is None:
+        post_images = _PostImages(cover)
     cap = min(max_len, CLOPEN_WORD_CAP)
     words = [EPSILON]
     for k in range(1, cap + 1):
         words.extend(sorted(words_of_length(cover.graph, k)))
     outcomes: dict[ClopenSet, _ConjugationOutcome] = {}
     for nu in words:
-        try:
-            F = diagonal.post_image(cover, nu)
-        except AmbiguousLabelError as exc:
+        F = post_images[nu]
+        if isinstance(F, str):
             rec.fail("conjugation_locality",
-                     f"word {_word_str(cover, nu)}: {exc}")
+                     f"word {_word_str(cover, nu)}: {F}")
             continue
         if F not in outcomes:
             outcomes[F] = _conjugation_outcome(cover, F)
@@ -430,43 +463,65 @@ def _check_conjugation(cover: KriegerCover, rec: _Recorder,
                 f"{_word_str(cover, nu)}: {detail}"))
 
 
-def _check_ck(cover: KriegerCover, rec: _Recorder,
-              derived: list[set[tuple[int, int]]],
-              outcomes: list[_SplitOutcome]) -> None:
-    edges = cover.edges
-    tok = cover.alphabet.tokens
-
-    def edge_str(e: Edge) -> str:
-        return f"E{e.src + 1}--{tok[e.label]}-->E{e.dst + 1}"
-
-    # range_projection_orthogonality: distinct edges have disjoint
-    # mapped range projections
-    images = []
-    for e in edges:
+def _range_images(cover: KriegerCover,
+                  rec: _Recorder) -> list[ClopenSet | None]:
+    """Per edge e, the mapped range projection: E_r(e) conjugated by
+    the letter of e, or None where that is ambiguous."""
+    images: list[ClopenSet | None] = []
+    for e in cover.edges:
         try:
             images.append(diagonal.conj_by_letter(
                 cover, e.label, diagonal.class_projection(cover, e.dst)))
         except AmbiguousLabelError as exc:
             rec.fail("range_projection_orthogonality", str(exc))
             images.append(None)
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            rec.count("range_projection_orthogonality")
-            if (edges[i].label, edges[i].dst) == (edges[j].label,
-                                                  edges[j].dst):
-                rec.fail(
-                    "range_projection_orthogonality",
-                    f"{edge_str(edges[i])} and {edge_str(edges[j])} "
-                    f"share label and range")
-                continue
-            if images[i] is None or images[j] is None:
-                continue
-            meet = images[i].intersect(images[j])
-            if not meet.is_empty():
-                rec.fail(
-                    "range_projection_orthogonality",
-                    f"{edge_str(edges[i])} and {edge_str(edges[j])} "
-                    f"overlap on {meet.render()}")
+    return images
+
+
+def _check_orthogonality(cover: KriegerCover, rec: _Recorder,
+                         images: list[ClopenSet | None]) -> None:
+    """range_projection_orthogonality: distinct edges have distinct
+    (label, range) pairs and disjoint mapped range projections.
+
+    Every image conjugates a depth-0 set, so it has depth at most 1,
+    and two images meet exactly when they share a depth-1 cell.  The
+    edges are grouped by the depth-1 cells their images meet and by
+    their (label, range) pairs; every pair in one group fails, and no
+    other pair does, so the least pair over the groups is the witness
+    an all pairs scan gives.  All E(E-1)/2 pairs are counted.
+    """
+    edges = cover.edges
+    rec.count("range_projection_orthogonality",
+              len(edges) * (len(edges) - 1) // 2)
+    groups: dict[tuple, list[int]] = {}
+    for idx, (e, img) in enumerate(zip(edges, images)):
+        groups.setdefault((e.label, e.dst, "range"), []).append(idx)
+        if img is not None:
+            assert img.depth <= 1, "range projection deeper than 1"
+            for cell in img.refine(1).cells:
+                groups.setdefault(cell, []).append(idx)
+    pairs = [(m[0], m[1]) for m in groups.values() if len(m) > 1]
+    if not pairs:
+        return
+    i, j = min(pairs)
+    ei, ej = edges[i], edges[j]
+    if (ei.label, ei.dst) == (ej.label, ej.dst):
+        rec.fail("range_projection_orthogonality",
+                 f"{_edge_str(cover, ei)} and {_edge_str(cover, ej)} "
+                 f"share label and range")
+    else:
+        meet = images[i].intersect(images[j])
+        rec.fail("range_projection_orthogonality",
+                 f"{_edge_str(cover, ei)} and {_edge_str(cover, ej)} "
+                 f"overlap on {meet.render()}")
+
+
+def _check_ck(cover: KriegerCover, rec: _Recorder,
+              derived: list[set[tuple[int, int]]],
+              outcomes: list[_SplitOutcome]) -> None:
+    edges = cover.edges
+    images = _range_images(cover, rec)
+    _check_orthogonality(cover, rec, images)
 
     # edge_support_sums: the support projection of each mapped
     # generator equals the sum over the edges its range emits: the
@@ -478,7 +533,8 @@ def _check_ck(cover: KriegerCover, rec: _Recorder,
             split_differs, detail = outcome
             if split_differs:
                 detail = f"class E{e.dst + 1} {detail}"
-            rec.fail("edge_support_sums", f"edge {edge_str(e)}: {detail}")
+            rec.fail("edge_support_sums",
+                     f"edge {_edge_str(cover, e)}: {detail}")
 
     # range_projection_partition: the mapped range projections tile
     # the whole space; grounded against the prepend-derived cells
@@ -566,39 +622,41 @@ def _check_round_trips(cover: KriegerCover, rec: _Recorder) -> None:
         rec.fail("letter_roundtrip",
                  "class projections do not sum to the whole space")
 
-    # edge_roundtrip: an edge is recovered from its label and range
+    # edge_roundtrip: an edge is recovered from its label and range,
+    # unless another edge has both
+    sharing: dict[tuple[int, int], int] = {}
+    for f in set(cover.edges):
+        sharing[f.label, f.dst] = sharing.get((f.label, f.dst), 0) + 1
     for e in cover.edges:
         rec.count("edge_roundtrip")
-        twins = [f for f in cover.edges
-                 if f != e and f.label == e.label and f.dst == e.dst]
-        if twins:
+        if sharing[e.label, e.dst] > 1:
             rec.fail(
                 "edge_roundtrip",
                 f"edges into E{e.dst + 1} labeled "
                 f"{cover.alphabet.tokens[e.label]} are not unique")
 
 
-def _check_projection_formulas(cover: KriegerCover, rec: _Recorder) -> None:
-    # every formula word is a range_witnesses word: take its post image
-    # and the complement once per cover, or the ambiguity error of its
-    # post image
-    images: dict[Word, tuple[ClopenSet, ClopenSet] | AmbiguousLabelError] = {}
+def _check_projection_formulas(cover: KriegerCover, rec: _Recorder,
+                               post_images: _PostImages | None = None
+                               ) -> None:
+    # every formula word is a range_witnesses word: read its post image
+    # from post_images and take the complement once per cover, or keep
+    # the ambiguity message of its post image
+    if post_images is None:
+        post_images = _PostImages(cover)
+    images: dict[Word, tuple[ClopenSet, ClopenSet] | str] = {}
     for w in cover.range_witnesses.values():
-        try:
-            F = diagonal.post_image(cover, w)
-        except AmbiguousLabelError as exc:
-            images[w] = exc
-        else:
-            images[w] = (F, F.complement())
+        F = post_images[w]
+        images[w] = F if isinstance(F, str) else (F, F.complement())
     for i in range(cover.class_count):
         rec.count("projection_word_formulas")
         pos, neg = diagonal.express_class_projection(cover, i)
         # the formula fails at its first word, positive then negative,
         # whose post image is ambiguous
-        exc = next((images[w] for w in pos + neg
-                    if isinstance(images[w], AmbiguousLabelError)), None)
-        if exc is not None:
-            rec.fail("projection_word_formulas", f"class E{i + 1}: {exc}")
+        msg = next((images[w] for w in pos + neg
+                    if isinstance(images[w], str)), None)
+        if msg is not None:
+            rec.fail("projection_word_formulas", f"class E{i + 1}: {msg}")
             continue
         value = diagonal._formula_product(
             cover, (images[w][0] for w in pos), (images[w][1] for w in neg))
@@ -652,19 +710,22 @@ def verify_all(cover: KriegerCover, max_len: int = 8) -> Report:
     clopen engine cap the word length at 5 to stay inside desk-scale
     budgets: ``word_range_projections`` runs per word, and
     ``conjugation_locality`` is decided once per post image and counted
-    per word (see ``_check_conjugation``).  The projection formulas take
-    each table word's post image once per call.
+    per word (see ``_check_conjugation``).  Both, and the projection
+    formulas, read one table of post images, so each word's post image
+    is taken once per call.
     """
-    rec = _scan_words(cover, max_len, clopen_len=min(max_len,
-                                                     CLOPEN_WORD_CAP))
+    post_images = _PostImages(cover)
+    rec = _scan_words(cover, max_len,
+                      clopen_len=min(max_len, CLOPEN_WORD_CAP),
+                      post_images=post_images)
     derived = _derived_splits(cover)
     outcomes = _split_identities(cover, derived)
     _check_class_splitting(cover, rec, outcomes)
-    _check_conjugation(cover, rec, max_len)
+    _check_conjugation(cover, rec, max_len, post_images)
     _check_ck(cover, rec, derived, outcomes)
     _check_edge_sum_structural(cover, rec)
     _check_round_trips(cover, rec)
-    _check_projection_formulas(cover, rec)
+    _check_projection_formulas(cover, rec, post_images)
     return Report(_results(rec, FAMILY_ORDER))
 
 

@@ -320,27 +320,46 @@ class CoverIndex:
 
     ``out[i]`` and ``into[i]`` hold the edges leaving and entering
     class i, ``by_range_label[(i, a)]`` the edges labeled a into class
-    i (one on a left-resolving cover), and ``out_split[i]`` the
-    (label, range) pairs of the edges leaving class i.  Classes without
-    such edges are absent from the maps.
+    i (one on a left-resolving cover), ``split_masks[i]`` the out-split
+    of class i as (letter, bitmask of the ranges of its edges with that
+    letter) pairs in letter order, and ``entered[a]`` the bitmask of the
+    classes that an edge labeled a enters.  Classes and letters without
+    such edges are absent from the maps.  ``left_resolving`` tells
+    whether every (range, label) group holds one edge.
+
+    ``refine_memo`` and ``merge_memo`` are the clopen engine's memos
+    keyed by class bitmasks (see :mod:`soficshift.diagonal`); they live
+    here so that nothing outlives the cover.
     """
 
-    __slots__ = ("out", "into", "by_range_label", "out_split")
+    __slots__ = ("out", "into", "by_range_label", "left_resolving",
+                 "split_masks", "entered", "refine_memo", "merge_memo")
 
     def __init__(self, edges: Iterable[Edge]):
         out: dict[int, list[Edge]] = {}
         into: dict[int, list[Edge]] = {}
         by_range_label: dict[tuple[int, int], list[Edge]] = {}
+        entered: dict[int, int] = {}
         for e in edges:
             out.setdefault(e.src, []).append(e)
             into.setdefault(e.dst, []).append(e)
             by_range_label.setdefault((e.dst, e.label), []).append(e)
+            entered[e.label] = entered.get(e.label, 0) | 1 << e.dst
         self.out = {i: tuple(es) for i, es in out.items()}
         self.into = {i: tuple(es) for i, es in into.items()}
         self.by_range_label = {k: tuple(es)
                                for k, es in by_range_label.items()}
-        self.out_split = {i: frozenset((e.label, e.dst) for e in es)
-                          for i, es in out.items()}
+        self.left_resolving = all(len(es) == 1
+                                  for es in by_range_label.values())
+        self.entered = entered
+        self.split_masks = {}
+        for i, es in out.items():
+            split: dict[int, int] = {}
+            for e in es:
+                split[e.label] = split.get(e.label, 0) | 1 << e.dst
+            self.split_masks[i] = tuple(sorted(split.items()))
+        self.refine_memo: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.merge_memo: dict[tuple[tuple[int, int], ...], int | None] = {}
 
     def edge_into(self, dst: int, label: int) -> Edge | None:
         """The edge labeled ``label`` into class ``dst``, or None.
@@ -480,8 +499,7 @@ class KriegerCover:
         return list(self.index.into.get(i, ()))
 
     def is_left_resolving(self) -> bool:
-        return all(len(es) == 1
-                   for es in self.index.by_range_label.values())
+        return self.index.left_resolving
 
     def with_edges(self, edges) -> "KriegerCover":
         """Copy with a replaced edge tuple, skipping validation.

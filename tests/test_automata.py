@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from soficshift import (Alphabet, EmptyShiftError, LabeledGraph,
                         ResourceLimitError, language_equal_upto,
@@ -60,6 +61,25 @@ class TestDeterminize:
         for g in random_corpus(50, seed=103):
             det = make_right_resolving(trim_essential(g))
             assert language_equal_upto(g, det, 8)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(k), st.just(n), st.sets(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.integers(0, k - 1)), min_size=1, max_size=3 * n)))))
+    def test_language_preserved_on_generated_graphs(self, shape):
+        # any edge set, so neither essential nor right-resolving
+        k, n, edges = shape
+        g = LabeledGraph(Alphabet([str(a) for a in range(k)]),
+                         [f"v{v}" for v in range(n)], edges)
+        try:
+            trimmed = trim_essential(g)
+        except EmptyShiftError:
+            assume(False)
+        det = make_right_resolving(trimmed)
+        assert det.is_right_resolving()
+        assert det.is_essential()
+        assert language_equal_upto(trimmed, det, 6)
 
     def test_subset_state_cap(self, monkeypatch):
         # the subset construction on the twin a-paths reaches the full

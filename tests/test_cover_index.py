@@ -1,13 +1,15 @@
 """The cover's adjacency index and its cached tables against the slow
 references they replaced.
 
-The references below are the per-edge scans that ``out_edges``,
-``in_edges``, ``unique_labeled_path`` and the clopen engine ran before
-the index existed, and the per-class semigroup pass of
-``express_class_projection``.  They are compared with the indexed code
-on seeded random covers, intact and under every corruption kind; the
-slow route of ``verify_all`` also takes the per-word scan kept in
-``test_word_scan`` and the per-word and per-class clopen checks kept in
+The references are the per-edge scans that ``out_edges``,
+``in_edges`` and ``unique_labeled_path`` ran before the index existed,
+the frozenset-cell clopen engine of ``frozenset_clopen``, which scans
+the edge tuple too, the per-class semigroup pass of
+``express_class_projection`` and the all-pairs orthogonality check.
+They are compared with the indexed code on seeded random covers,
+intact and under every corruption kind; the slow route of
+``verify_all`` also takes the per-word scan kept in ``test_word_scan``
+and the per-word and per-class clopen checks kept in
 ``test_post_image_memo``.
 """
 
@@ -21,104 +23,18 @@ from soficshift import (build_cover, corrupt_cover, diagonal,
                         express_class_projection, isocheck, krieger,
                         transition_semigroup, unique_labeled_path,
                         verify_all, word_classes)
-from soficshift.diagonal import ClopenSet
 from soficshift.errors import AmbiguousLabelError
-from soficshift.isocheck import CORRUPTION_KINDS
+from soficshift.isocheck import CORRUPTION_KINDS, _edge_str
 from soficshift.krieger import KriegerCover
 from soficshift.shiftcore import Edge
+import frozenset_clopen
 from conftest import corpus_graphs
+from frozenset_clopen import (slow_in_edges, slow_out_edges,
+                              slow_unique_labeled_path, slow_word_classes)
 from test_krieger import random_presentations
 
 
-# --- slow references: scans of the whole edge tuple -------------------
-
-def slow_out_edges(cover, i):
-    return [e for e in cover.edges if e.src == i]
-
-
-def slow_in_edges(cover, i):
-    return [e for e in cover.edges if e.dst == i]
-
-
-def slow_unique_labeled_path(cover, word, target):
-    if not word:
-        raise ValueError("word must be nonempty")
-    path = []
-    cur = target
-    for a in reversed(word):
-        candidates = [e for e in cover.edges
-                      if e.dst == cur and e.label == a]
-        if len(candidates) > 1:
-            raise AmbiguousLabelError(
-                f"two edges labeled {a} into class {cur + 1}")
-        if not candidates:
-            return None
-        path.append(candidates[0])
-        cur = candidates[0].src
-    return tuple(reversed(path))
-
-
-def slow_word_classes(cover, word):
-    if not word:
-        return frozenset(range(cover.class_count))
-    return frozenset(i for i in range(cover.class_count)
-                     if slow_unique_labeled_path(cover, word, i)
-                     is not None)
-
-
-def slow_cell_source(cover, cell):
-    word, i = cell
-    if not word:
-        return i
-    path = slow_unique_labeled_path(cover, word, i)
-    return None if path is None else path[0].src
-
-
-def slow_refine(self, depth):
-    if depth < self.depth:
-        raise ValueError("cannot refine to a smaller depth")
-    cells = self.cells
-    for _ in range(depth - self.depth):
-        cells = frozenset((w + (e.label,), e.dst)
-                          for w, i in cells
-                          for e in slow_out_edges(self.cover, i))
-    out = ClopenSet.__new__(ClopenSet)
-    out.cover = self.cover
-    out.depth = depth
-    out.cells = cells
-    return out
-
-
-def slow_merge_once(cover, cells):
-    splits = [frozenset((e.label, e.dst) for e in slow_out_edges(cover, i))
-              for i in range(cover.class_count)]
-    groups = {}
-    for w, i in cells:
-        groups.setdefault(w[:-1], set()).add((w[-1], i))
-    merged = set()
-    for prefix, pairs in groups.items():
-        chosen = [i for i in range(cover.class_count)
-                  if splits[i] and splits[i] <= pairs]
-        if sum(len(splits[i]) for i in chosen) != len(pairs):
-            return None
-        covered = set()
-        for i in chosen:
-            covered |= splits[i]
-        if covered != pairs:
-            return None
-        merged.update((prefix, i) for i in chosen)
-    return frozenset(merged)
-
-
-def slow_conj_by_letter(cover, letter, F):
-    labels_into = {e.dst for e in cover.edges if e.label == letter}
-    cells = []
-    for w, i in F.cells:
-        src = slow_cell_source(cover, (w, i))
-        if src is not None and src in labels_into:
-            cells.append(((letter,) + w, i))
-    return ClopenSet(cover, F.depth + 1, cells, validate=False)
-
+# --- slow references -------------------------------------------------
 
 # the covers' classes are visited one cover at a time, and a corrupted
 # cover shares its graph with the intact one, so one cached semigroup
@@ -153,20 +69,44 @@ def slow_express_class_projection(cover, i):
     return tuple(pos), tuple(neg)
 
 
+def slow_check_orthogonality(cover, rec, images):
+    """``isocheck._check_orthogonality`` over all pairs of edges."""
+    edges = cover.edges
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            rec.count("range_projection_orthogonality")
+            if (edges[i].label, edges[i].dst) == (edges[j].label,
+                                                  edges[j].dst):
+                rec.fail(
+                    "range_projection_orthogonality",
+                    f"{_edge_str(cover, edges[i])} and "
+                    f"{_edge_str(cover, edges[j])} share label and range")
+                continue
+            if images[i] is None or images[j] is None:
+                continue
+            meet = images[i].intersect(images[j])
+            if not meet.is_empty():
+                rec.fail(
+                    "range_projection_orthogonality",
+                    f"{_edge_str(cover, edges[i])} and "
+                    f"{_edge_str(cover, edges[j])} overlap on "
+                    f"{meet.render()}")
+
+
 def use_slow_references(monkeypatch):
-    """Route every indexed code path through the edge scans, and make
-    any remaining read of the index fail."""
+    """Route every indexed code path through the edge scans, swap the
+    whole frozenset-cell engine into ``diagonal``, and make any
+    remaining read of the index fail."""
     monkeypatch.setattr(KriegerCover, "out_edges", slow_out_edges)
     monkeypatch.setattr(KriegerCover, "in_edges", slow_in_edges)
     monkeypatch.setattr(krieger, "unique_labeled_path",
                         slow_unique_labeled_path)
-    monkeypatch.setattr(diagonal, "word_classes", slow_word_classes)
-    monkeypatch.setattr(diagonal, "_cell_source", slow_cell_source)
-    monkeypatch.setattr(diagonal, "_merge_once", slow_merge_once)
-    monkeypatch.setattr(diagonal, "conj_by_letter", slow_conj_by_letter)
+    for name in frozenset_clopen.ENGINE:
+        monkeypatch.setattr(diagonal, name, getattr(frozenset_clopen, name))
     monkeypatch.setattr(diagonal, "express_class_projection",
                         slow_express_class_projection)
-    monkeypatch.setattr(ClopenSet, "refine", slow_refine)
+    monkeypatch.setattr(isocheck, "_check_orthogonality",
+                        slow_check_orthogonality)
     # imported here because test_word_scan and test_post_image_memo
     # import this module
     from test_word_scan import slow_scan_words
@@ -261,9 +201,18 @@ class TestIndexMatchesScans:
             for i in range(cover.class_count + 1):
                 assert cover.out_edges(i) == slow_out_edges(cover, i), name
                 assert cover.in_edges(i) == slow_in_edges(cover, i), name
-            split = cover.index.out_split
+            split = cover.index.split_masks
             for i, edges in cover.index.out.items():
-                assert split[i] == {(e.label, e.dst) for e in edges}, name
+                assert {(a, k) for a, mask in split[i]
+                        for k in range(cover.class_count)
+                        if mask >> k & 1} == \
+                    {(e.label, e.dst) for e in edges}, name
+                assert [a for a, _ in split[i]] == \
+                    sorted({e.label for e in edges}), name
+            assert set(split) == set(cover.index.out), name
+            for a in cover.alphabet:
+                assert cover.index.entered.get(a, 0) == sum(
+                    {1 << e.dst for e in cover.edges if e.label == a}), name
 
     def test_left_resolving_flag(self, covers):
         for name, cover in covers:

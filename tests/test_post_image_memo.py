@@ -7,14 +7,16 @@ post image of every formula word again for each class, with the
 formula product written out.  ``isocheck._check_conjugation`` and
 ``isocheck._check_projection_formulas`` must record the same
 ``checked=`` count and the same witness on seeded covers, intact and
-corrupted, and on generated presentations.
+corrupted, and on generated presentations.  Within one ``verify_all``
+call, the word scan, the conjugation check and the formulas share one
+table of post images, so each word's post image is taken once.
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from soficshift import (Alphabet, LabeledGraph, build_cover, corrupt_cover,
-                        diagonal, isocheck, trim_essential)
+                        diagonal, isocheck, trim_essential, verify_all)
 from soficshift.errors import AmbiguousLabelError, EmptyShiftError
 from soficshift.isocheck import (CLOPEN_WORD_CAP, CORRUPTION_KINDS,
                                  _Recorder, _word_str)
@@ -26,8 +28,9 @@ from test_word_scan import with_variants
 
 # --- the slow references ------------------------------------------------
 
-def slow_check_conjugation(cover, rec, max_len):
-    """``isocheck._check_conjugation`` word by word."""
+def slow_check_conjugation(cover, rec, max_len, post_images=None):
+    """``isocheck._check_conjugation`` word by word, each post image
+    taken anew (``post_images`` is not read)."""
     cap = min(max_len, CLOPEN_WORD_CAP)
     words = [EPSILON]
     for k in range(1, cap + 1):
@@ -51,9 +54,10 @@ def slow_check_conjugation(cover, rec, max_len):
                      f"word {_word_str(cover, nu)}: {exc}")
 
 
-def slow_check_projection_formulas(cover, rec):
+def slow_check_projection_formulas(cover, rec, post_images=None):
     """``isocheck._check_projection_formulas`` class by class, each
-    formula word's post image taken anew."""
+    formula word's post image taken anew (``post_images`` is not
+    read)."""
     for i in range(cover.class_count):
         rec.count("projection_word_formulas")
         try:
@@ -257,3 +261,22 @@ class TestDecidedOncePerPostImage:
             assert taken == list(cover.range_witnesses.values()), name
             several += cover.class_count > 1
         assert several > 0
+
+    def test_verify_takes_each_post_image_once(self, corpus, randoms,
+                                                monkeypatch):
+        taken = []
+        real = diagonal.post_image
+
+        def counting(cover, word):
+            taken.append(word)
+            return real(cover, word)
+
+        monkeypatch.setattr(diagonal, "post_image", counting)
+        for name, cover in corpus + randoms:
+            taken.clear()
+            verify_all(cover, max_len=4)
+            assert len(taken) == len(set(taken)), name
+            # every word the clopen families reach goes through the
+            # graph route
+            assert set(clopen_words(cover, 4)) <= set(taken), name
+            assert set(cover.range_witnesses.values()) <= set(taken), name

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficshift import (Alphabet, EmptyShiftError, InputFormatError,
                         LabeledGraph, Ray, SftSpec, is_admissible,
@@ -94,6 +95,32 @@ class TestParsing:
     def test_round_trip_sft(self):
         spec = parse_presentation(GOLDEN_TEXT)
         assert parse_presentation(serialize_presentation(spec)) == spec
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_round_trip_generated(self, data):
+        # tokens and vertex names: one to three characters, none of them
+        # whitespace or the comment sign
+        names = st.text("abxyz019_-.:", min_size=1, max_size=3)
+        tokens = data.draw(st.lists(names, min_size=1, max_size=4,
+                                    unique=True))
+        alphabet = Alphabet(tokens)
+        k = len(tokens)
+        if data.draw(st.booleans()):
+            vertices = data.draw(st.lists(names, min_size=1, max_size=4,
+                                          unique=True))
+            n = len(vertices)
+            edges = data.draw(st.sets(st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1),
+                st.integers(0, k - 1)), max_size=3 * n))
+            obj = LabeledGraph(alphabet, vertices, edges)
+        else:
+            obj = SftSpec(alphabet, tuple(data.draw(st.lists(
+                st.lists(st.integers(0, k - 1), min_size=1,
+                         max_size=3).map(tuple), max_size=4))))
+        text = serialize_presentation(obj)
+        assert parse_presentation(text) == obj
+        assert serialize_presentation(parse_presentation(text)) == text
 
 
 class TestGraphInvariants:

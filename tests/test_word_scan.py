@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from soficshift import (Alphabet, LabeledGraph, build_cover, corrupt_cover,
                         diagonal, isocheck, trim_essential)
-from soficshift.diagonal import ClopenSet
 from soficshift.errors import AmbiguousLabelError, EmptyShiftError
 from soficshift.isocheck import CORRUPTION_KINDS, _Recorder, _word_str
 from soficshift.krieger import _set_to_mask
@@ -159,9 +158,9 @@ def slow_scan_rounds(cover, max_len, clopen_len):
                     rec.count("word_range_projections")
                     try:
                         lhs = diagonal.post_image(cover, w)
-                        rhs = ClopenSet(cover, 0,
-                                        [(EPSILON, i) for i in a_set],
-                                        validate=False)
+                        rhs = diagonal.ClopenSet(
+                            cover, 0, [(EPSILON, i) for i in a_set],
+                            validate=False)
                         if lhs != rhs:
                             rec.fail("word_range_projections", lambda: (
                                 f"word {_word_str(cover, w)}: "
@@ -182,8 +181,9 @@ def recorded(rec):
             {fam: rec.witness.get(fam) for fam in WORD_FAMILIES})
 
 
-def slow_scan_words(cover, max_len, clopen_len):
-    """``isocheck._scan_words`` by the per-word scan."""
+def slow_scan_words(cover, max_len, clopen_len, post_images=None):
+    """``isocheck._scan_words`` by the per-word scan, which takes each
+    post image anew and so ignores ``post_images``."""
     rec = _Recorder()
     for rec, _ in slow_scan_rounds(cover, max_len, clopen_len):
         pass
