@@ -49,21 +49,13 @@ only the second and the third:
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .krieger import CoverIndex, KriegerCover
+from .krieger import CoverIndex, KriegerCover, _bits, unique_labeled_path
 from .shiftcore import EPSILON, Word
 
 Cell = tuple[Word, int]
 Masks = dict[Word, int]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    # the set bits of a mask, least first
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _sources(cover: KriegerCover, word: Word, mask: int) -> dict[int, int]:
@@ -130,19 +122,6 @@ def word_classes(cover: KriegerCover, word: Word) -> frozenset[int]:
         walk meets two edges with one label into one class.
     """
     return frozenset(_bits(_word_mask(cover, word)))
-
-
-def _cell_source(cover: KriegerCover, cell: Cell) -> int | None:
-    # source class of the unique path labeled w ending at class i,
-    # walked backward one (range, label) group at a time
-    word, i = cell
-    edge_into = cover.index.edge_into
-    for a in reversed(word):
-        e = edge_into(i, a)
-        if e is None:
-            return None
-        i = e.src
-    return i
 
 
 def _letter_masks(index: CoverIndex,
@@ -243,7 +222,7 @@ class ClopenSet:
             for w, i in cells:
                 if not (0 <= i < cover.class_count):
                     raise ValueError(f"class index {i} out of range")
-                if w and _cell_source(cover, (w, i)) is None:
+                if w and unique_labeled_path(cover, w, i) is None:
                     raise ValueError(
                         f"empty cell: no path labeled {w} into class "
                         f"{i + 1}")

@@ -184,16 +184,18 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
         post_images = _PostImages(cover)
     rec = _Recorder()
     m = cover.class_count
-    t = cover.scan_tables
+    realized, prepend = cover.realized, cover.prepend
+    into = cover.index.sources_by_label
     letters = list(cover.alphabet)
-    # core id -> (preimage per slot, back (-1: no path), fwd, relation
-    # classes, path classes), the last three as bitmasks over classes
+    # core id -> (preimage per slot of cover.realized, back (-1: no
+    # path), fwd, relation classes, path classes), the last three as
+    # bitmasks over classes; slot i < m holds class i's canonical set
     cores: list[tuple] = []
     ids: dict[tuple, int] = {}
     steps: dict[tuple[int, int], tuple[int | None, int | None]] = {}
 
     def core(P: tuple, back: tuple, fwd: int) -> int | None:
-        a_set = sum(1 << i for i, r in enumerate(t.slot) if P[r])
+        a_set = sum(1 << i for i in range(m) if P[i])
         b_set = sum(1 << i for i, s in enumerate(back) if s >= 0)
         if not a_set and not b_set:
             return None
@@ -211,7 +213,7 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
             back2 = [-1] * m
             fwd2 = 0
             met = None
-            for dst, srcs in t.into[a]:
+            for dst, srcs in into.get(a, ()):
                 live = [s for s in srcs if back[s] >= 0]
                 if live:
                     back2[dst] = min(back[s] for s in live)
@@ -221,12 +223,12 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                 if any(fwd >> s & 1 for s in srcs):
                     fwd2 |= 1 << dst
             steps[cid, a] = (
-                core(tuple(P[r] if r >= 0 else 0 for r in t.pre[a]),
+                core(tuple(P[r] if r >= 0 else 0 for r in prepend[a]),
                      tuple(back2), fwd2),
                 None if met is None else met[1])
         return steps[cid, a]
 
-    start = core(tuple(t.block_of_mask), tuple(range(m)), (1 << m) - 1)
+    start = core(tuple(realized), tuple(range(m)), (1 << m) - 1)
     # (core, first letter, tail core, ambiguous class, word up to
     # clopen_len) -> [word count, least word]
     frontier: dict[tuple, list] = {
@@ -266,14 +268,14 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
             # the unique path against the iterated prepend
             rec.count("word_path_equivalence", m * n)
             for i in range(m):
-                amask = P[t.slot[i]]
+                amask = P[i]
                 if bool(amask) != (back[i] >= 0):
                     rec.fail("word_path_equivalence", lambda: (
                         f"word {_word_str(cover, w)}, class "
                         f"E{i + 1}: path "
                         f"{'missing' if amask else 'spurious'}"))
                 elif amask:
-                    blk = t.block_of_mask.get(amask)
+                    blk = realized.get(amask)
                     if blk != back[i]:
                         got = ("not realized" if blk is None
                                else f"E{blk + 1}")
@@ -339,14 +341,13 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
 def _derived_splits(cover: KriegerCover) -> list[set[tuple[int, int]]]:
     """Per class, the (letter, target class) split derived from the
     survivor-set prepend map, independent of the cover's edges."""
-    splits: list[set[tuple[int, int]]] = [set() for _ in cover.class_sets]
-    for i, rep in enumerate(cover.canonical_sets):
-        for a in cover.alphabet:
-            p = cover.pre_map.get((a, rep))
-            if p is not None:
-                k = cover.block_of.get(p)
-                if k is not None:
-                    splits[k].add((a, i))
+    m = cover.class_count
+    classes = list(cover.realized.values())
+    splits: list[set[tuple[int, int]]] = [set() for _ in range(m)]
+    for a, row in zip(cover.alphabet, cover.prepend):
+        for i, p in enumerate(row[:m]):
+            if p >= 0:
+                splits[classes[p]].add((a, i))
     return splits
 
 
@@ -580,7 +581,8 @@ def _check_edge_sum_structural(cover: KriegerCover, rec: _Recorder) -> None:
     # edge set
     rec.count("edge_label_cover")
     used_b = {e.label for e in cover.edges}
-    used_a = {a for (a, _c) in cover.pre_map}
+    used_a = {a for a, row in zip(cover.alphabet, cover.prepend)
+              if any(p >= 0 for p in row)}
     if used_b != used_a:
         names = cover.alphabet.tokens
         rec.fail(
@@ -599,15 +601,11 @@ def _check_edge_sum_structural(cover: KriegerCover, rec: _Recorder) -> None:
 def _check_round_trips(cover: KriegerCover, rec: _Recorder) -> None:
     # letter_roundtrip: ranges of the edges carrying each letter equal
     # the classes the letter can be prepended to
-    class_of_letter_a: dict[int, set[int]] = {}
-    for (a, c), _p in cover.pre_map.items():
-        k = cover.block_of.get(c)
-        if k is not None:
-            class_of_letter_a.setdefault(a, set()).add(k)
-    for a in cover.alphabet:
+    classes = list(cover.realized.values())
+    for a, row in zip(cover.alphabet, cover.prepend):
         rec.count("letter_roundtrip")
         b_side = {e.dst for e in cover.edges if e.label == a}
-        a_side = class_of_letter_a.get(a, set())
+        a_side = {i for i, p in zip(classes, row) if p >= 0}
         if b_side != a_side:
             rec.fail(
                 "letter_roundtrip",

@@ -17,8 +17,13 @@ The transition semigroup and the brute-force ray enumeration, which
 only the oracle and the tests read, live in :mod:`soficshift.semigroup`;
 their names stay reachable from this module and load on first use.
 
-Everything is exact and finite; vertex sets are handled as bitmasks
-internally and exposed as frozensets of vertex indices.
+Everything is exact and finite.  A vertex set is an int bitmask over
+the presentation's vertices everywhere from the pair graph to the
+cover's tables (``KriegerCover.realized`` and ``prepend``), which the
+checks of :mod:`soficshift.isocheck` read.  Frozensets of vertex
+indices appear only at the public boundary: :func:`survivor_set`,
+:func:`realized_survivor_sets`, :func:`past_partition` and the views
+``KriegerCover.class_sets`` and ``canonical_sets``.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, Collection, Iterable, Iterator, Mapping,
-                    NamedTuple)
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
 from .automata import make_right_resolving, trim_essential
 from .errors import (AmbiguousLabelError, CoverInvariantError,
@@ -61,25 +65,16 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
+def _bits(mask: int) -> Iterator[int]:
+    # the set bits of a mask, least first
     while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _set_to_mask(vertices: frozenset[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _set_key(s: frozenset[int]) -> tuple:
-    # canonical order on vertex sets: cardinality, then sorted indices
-    return (len(s), tuple(sorted(s)))
+def _mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(_bits(mask))
 
 
 def _pull_back(g: LabeledGraph, word: Word, mask: int) -> int:
@@ -210,22 +205,6 @@ def _pair_graph(g: LabeledGraph) -> tuple[dict[int, int], list[int], array,
             states, step, good)
 
 
-def _survivor_family(
-    g: LabeledGraph, masks: Collection[int],
-) -> tuple[frozenset[frozenset[int]],
-           dict[tuple[int, frozenset[int]], frozenset[int]]]:
-    # the realized sets as frozensets, with their letter-prepend map
-    sets = frozenset(_mask_to_set(m) for m in masks)
-    pre: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
-    for m in masks:
-        c = _mask_to_set(m)
-        for a in g.alphabet:
-            p = g.predecessors(a, m)
-            if p:
-                pre[(a, c)] = _mask_to_set(p)
-    return sets, pre
-
-
 def realized_survivor_sets(
     g: LabeledGraph,
     sg: TransitionSemigroup | None = None,
@@ -260,29 +239,48 @@ def realized_survivor_sets(
     if not g.is_right_resolving():
         raise ValueError("realized survivor sets require a right-resolving "
                          "presentation")
-    return _survivor_family(g, _pair_graph(g)[0])
+    sets, pre = [], {}
+    for mask in _pair_graph(g)[0]:
+        c = _mask_to_set(mask)
+        sets.append(c)
+        for a in g.alphabet:
+            p = g.predecessors(a, mask)
+            if p:
+                pre[(a, c)] = _mask_to_set(p)
+    return frozenset(sets), pre
 
 
-def _moore_refinement(g: LabeledGraph, family: list[frozenset[int]]
-                      ) -> tuple[list[int], int]:
-    # Moore refinement under the letter preimages: after round k two
-    # sets share a label iff the same words of length at most k have a
-    # path ending in each.  Returns the labels and the splitting rounds.
-    n = len(family)
-    slot = {_set_to_mask(c): k for k, c in enumerate(family)}
-    slot[0] = n  # an empty preimage reads the sentinel label -1
-    pre = [tuple(slot.get(g.predecessors(a, _set_to_mask(c)))
-                 for a in g.alphabet) for c in family]
-    for c, row in zip(family, pre):
-        if None in row:
-            raise CoverInvariantError(
-                f"preimage of {sorted(c)} under letter {row.index(None)} "
-                f"is not in the family")
+def _prepend_table(g: LabeledGraph,
+                   family: list[int]) -> tuple[tuple[int, ...], ...]:
+    # per letter, per set of the family, the position in the family of
+    # its letter preimage, or -1 if that is empty
+    slot = {mask: k for k, mask in enumerate(family)}
+    slot[0] = -1
+    table: list[list[int]] = [[] for _ in g.alphabet]
+    for mask in family:
+        for a, row in zip(g.alphabet, table):
+            p = g.predecessors(a, mask)
+            if p not in slot:
+                raise CoverInvariantError(
+                    f"preimage of {list(_bits(mask))} under letter {a} "
+                    f"is not in the family")
+            row.append(slot[p])
+    return tuple(map(tuple, table))
+
+
+def _moore_refinement(prepend: tuple[tuple[int, ...], ...],
+                      n: int) -> tuple[list[int], int]:
+    # Moore refinement of n sets under the letter preimages of a
+    # prepend table: after round k two sets share a label iff the same
+    # words of length at most k have a path ending in each.  Returns
+    # the labels, numbered in order of first appearance, and the
+    # splitting rounds.
+    rows = [tuple(row[k] for row in prepend) for k in range(n)]
     label, blocks, rounds = [0] * n + [-1], min(1, n), 0
     while True:
         ids: dict[tuple[int, ...], int] = {}
         nxt = [ids.setdefault((label[k],) + tuple(label[p] for p in row),
-                              len(ids)) for k, row in enumerate(pre)]
+                              len(ids)) for k, row in enumerate(rows)]
         if len(ids) == blocks:
             return label[:n], rounds
         label, blocks, rounds = nxt + [-1], len(ids), rounds + 1
@@ -307,11 +305,13 @@ def past_partition(
         If a nonempty letter preimage falls outside ``realized``.
     """
     family = list(realized)
+    masks = [sum(1 << v for v in c) for c in family]
+    labels = _moore_refinement(_prepend_table(g, masks), len(masks))[0]
     groups: dict[int, list[frozenset[int]]] = {}
-    for c, k in zip(family, _moore_refinement(g, family)[0]):
+    for c, k in zip(family, labels):
         groups.setdefault(k, []).append(c)
     blocks = [frozenset(members) for members in groups.values()]
-    blocks.sort(key=lambda b: min(_set_key(c) for c in b))
+    blocks.sort(key=lambda b: min((len(c), sorted(c)) for c in b))
     return blocks
 
 
@@ -320,10 +320,13 @@ class CoverIndex:
 
     ``out[i]`` and ``into[i]`` hold the edges leaving and entering
     class i, ``by_range_label[(i, a)]`` the edges labeled a into class
-    i (one on a left-resolving cover), ``split_masks[i]`` the out-split
-    of class i as (letter, bitmask of the ranges of its edges with that
-    letter) pairs in letter order, and ``entered[a]`` the bitmask of the
-    classes that an edge labeled a enters.  Classes and letters without
+    i (one on a left-resolving cover), ``sources_by_label[a]`` the same
+    groups for label a as (range, sources in edge order) pairs, which
+    the word scan of :mod:`soficshift.isocheck` reads,
+    ``split_masks[i]`` the out-split of class i as (letter, bitmask of
+    the ranges of its edges with that letter) pairs in letter order, and
+    ``entered[a]`` the bitmask of the classes that an edge labeled a
+    enters.  Classes and letters without
     such edges are absent from the maps.  ``left_resolving`` tells
     whether every (range, label) group holds one edge.
 
@@ -332,8 +335,9 @@ class CoverIndex:
     here so that nothing outlives the cover.
     """
 
-    __slots__ = ("out", "into", "by_range_label", "left_resolving",
-                 "split_masks", "entered", "refine_memo", "merge_memo")
+    __slots__ = ("out", "into", "by_range_label", "sources_by_label",
+                 "left_resolving", "split_masks", "entered", "refine_memo",
+                 "merge_memo")
 
     def __init__(self, edges: Iterable[Edge]):
         out: dict[int, list[Edge]] = {}
@@ -349,6 +353,10 @@ class CoverIndex:
         self.into = {i: tuple(es) for i, es in into.items()}
         self.by_range_label = {k: tuple(es)
                                for k, es in by_range_label.items()}
+        sources: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for (dst, a), es in self.by_range_label.items():
+            sources.setdefault(a, []).append((dst, tuple(e.src for e in es)))
+        self.sources_by_label = {a: tuple(v) for a, v in sources.items()}
         self.left_resolving = all(len(es) == 1
                                   for es in by_range_label.values())
         self.entered = entered
@@ -378,48 +386,37 @@ class CoverIndex:
         return edges[0]
 
 
-class ScanTables(NamedTuple):
-    """The tables the word scan of ``isocheck`` reads.
-
-    A slot is a position in ``block_of_mask``, which maps each realized
-    survivor set, as a bitmask, to its class.  ``slot[i]`` is the slot
-    of class i's canonical set, ``pre[a][r]`` the slot of the prepend
-    of letter a to slot r (-1 if empty), and ``into[a]`` holds, per
-    class entered by edges labeled a, (class, their sources in edge
-    order).
-    """
-
-    block_of_mask: dict[int, int]
-    slot: tuple[int, ...]
-    pre: tuple[tuple[int, ...], ...]
-    into: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-
-
 @dataclass(frozen=True)
 class KriegerCover:
     """The left Krieger cover of a sofic shift.
 
     Vertices are the past-equivalence classes, numbered from 0 in
-    canonical order; ``class_sets[i]`` holds the realized survivor
-    sets carrying class i and ``representatives[i]`` one ultimately
-    periodic ray in the class.  Edges are sorted by (source, range,
-    label) and the graph is left-resolving: no two edges with the same
-    label enter the same class.
+    canonical order; ``representatives[i]`` is one ultimately periodic
+    ray in class i.  Edges are sorted by (source, range, label) and the
+    graph is left-resolving: no two edges with the same label enter the
+    same class.
+
+    Vertex sets are bitmasks over the vertices of ``graph``.
+    ``realized`` maps each realized survivor set to its class; its
+    position in ``realized`` is its slot, and slot i < ``class_count``
+    holds class i's canonical set, its least set by cardinality, then
+    sorted indices.  ``prepend[a][r]`` is the slot of the preimage
+    under letter a of the set in slot r, or -1 if that is empty.
+    ``class_sets`` and ``canonical_sets`` are read-only views of the
+    same sets as frozensets of vertex indices, for callers outside the
+    package; no code in the package reads them.
 
     Adjacency queries read ``index``, a :class:`CoverIndex` of
-    ``edges`` built on first use and kept on this instance, as are
-    ``canonical_sets``, ``range_witnesses`` and ``scan_tables``.  A
-    cover made by :meth:`with_edges` or ``dataclasses.replace`` is a
-    new instance and builds its own.
+    ``edges`` built on first use and kept on this instance, as is
+    ``range_witnesses``.  A cover made by :meth:`with_edges` or
+    ``dataclasses.replace`` is a new instance and builds its own.
     """
 
     graph: LabeledGraph
-    class_sets: tuple[frozenset[frozenset[int]], ...]
     representatives: tuple[Ray, ...]
     edges: tuple[Edge, ...]
-    block_of: dict[frozenset[int], int] = field(repr=False)
-    pre_map: dict[tuple[int, frozenset[int]], frozenset[int]] = field(
-        repr=False)
+    realized: Mapping[int, int] = field(repr=False)
+    prepend: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -427,18 +424,28 @@ class KriegerCover:
 
     @property
     def class_count(self) -> int:
-        return len(self.class_sets)
+        return len(self.representatives)
 
     @cached_property
     def index(self) -> CoverIndex:
         """The adjacency index of ``edges``."""
         return CoverIndex(self.edges)
 
-    @cached_property
+    @property
+    def class_sets(self) -> tuple[frozenset[frozenset[int]], ...]:
+        """Per class, its realized survivor sets."""
+        blocks: list[list[frozenset[int]]] = [[] for _ in
+                                              self.representatives]
+        for mask, i in self.realized.items():
+            blocks[i].append(_mask_to_set(mask))
+        return tuple(map(frozenset, blocks))
+
+    @property
     def canonical_sets(self) -> tuple[frozenset[int], ...]:
         """Per class, its least survivor set: fewest vertices, then
         least sorted indices."""
-        return tuple(min(block, key=_set_key) for block in self.class_sets)
+        return tuple(map(_mask_to_set, itertools.islice(self.realized,
+                                                        self.class_count)))
 
     @cached_property
     def range_witnesses(self) -> Mapping[int, Word]:
@@ -453,7 +460,7 @@ class KriegerCover:
         ranges from the full vertex set, letters in order.
         """
         g = self.graph
-        masks = [_set_to_mask(c) for c in self.canonical_sets]
+        masks = list(itertools.islice(self.realized, self.class_count))
         best: dict[int, Word] = {}
         seen = {g.full_mask()}
         queue = deque([(g.full_mask(), EPSILON)])
@@ -468,29 +475,10 @@ class KriegerCover:
                     queue.append((nxt, w + (a,)))
         return MappingProxyType(best)
 
-    @cached_property
-    def scan_tables(self) -> ScanTables:
-        """The word scan's tables, with ``index``'s edges grouped by
-        label."""
-        block_of_mask = {_set_to_mask(c): i for c, i in self.block_of.items()}
-        slot_of = {mask: r for r, mask in enumerate(block_of_mask)}
-        pre = tuple(
-            tuple(slot_of[_set_to_mask(self.pre_map[a, c])]
-                  if (a, c) in self.pre_map else -1 for c in self.block_of)
-            for a in self.alphabet)
-        into: list[list] = [[] for _ in self.alphabet]
-        for (dst, a), es in self.index.by_range_label.items():
-            into[a].append((dst, tuple(e.src for e in es)))
-        return ScanTables(
-            block_of_mask,
-            tuple(slot_of[_set_to_mask(c)] for c in self.canonical_sets),
-            pre, tuple(map(tuple, into)))
-
     def class_of_ray(self, ray: Ray) -> int | None:
         """The class containing the ray, or None if it is not in the
         shift."""
-        s = survivor_set(self.graph, ray)
-        return self.block_of.get(s)
+        return self.realized.get(_survivor_mask(self.graph, ray))
 
     def out_edges(self, i: int) -> list[Edge]:
         return list(self.index.out.get(i, ()))
@@ -521,20 +509,20 @@ def _short_rays(letters: list[int]) -> Iterator[tuple[Word, Word]]:
                     yield u, v
 
 
-def _class_representatives(g: LabeledGraph,
-                           blocks: list[frozenset[frozenset[int]]],
-                           starts: dict[int, int], states: list[int],
-                           step: array, good: bytearray) -> tuple[Ray, ...]:
-    # Per block, the first short ray in the order of _short_rays whose
-    # survivor set lies in it.  Otherwise, from the state (D, V∖D) of its
-    # least set D, the breadth-first least word to a good (P', ∅), then
-    # the least letter that keeps P' good, until a set repeats.
+def _class_representatives(g: LabeledGraph, realized: Mapping[int, int],
+                           count: int, starts: dict[int, int],
+                           states: list[int], step: array,
+                           good: bytearray) -> tuple[Ray, ...]:
+    # Per class of ``realized`` (whose first ``count`` sets are the
+    # canonical ones), the first short ray in the order of _short_rays
+    # whose survivor set lies in it.  Otherwise, from the state
+    # (D, V∖D) of its canonical set D, the breadth-first least word to
+    # a good (P', ∅), then the least letter that keeps P' good, until a
+    # set repeats.
     letters = list(g.alphabet)
     full, k = g.full_mask(), len(letters)
-    block_of_mask = {_set_to_mask(c): b
-                     for b, block in enumerate(blocks) for c in block}
-    reps: list[Ray | None] = [None] * len(blocks)
-    missing = len(blocks)
+    reps: list[Ray | None] = [None] * count
+    missing = count
     fixpoints: dict[Word, int] = {}
     for u, v in _short_rays(letters):
         if not missing:
@@ -542,15 +530,15 @@ def _class_representatives(g: LabeledGraph,
         fix = fixpoints.get(v)
         if fix is None:
             fix = fixpoints[v] = _period_fixpoint(g, v)
-        b = block_of_mask.get(_pull_back(g, u, fix))
+        b = realized.get(_pull_back(g, u, fix))
         if b is not None and reps[b] is None:
             reps[b] = Ray(u, v)
             missing -= 1
 
-    for b, block in enumerate(blocks):
+    for b, canonical in enumerate(itertools.islice(realized, count)):
         if reps[b] is not None:
             continue
-        cur = starts[_set_to_mask(min(block, key=_set_key))]
+        cur = starts[canonical]
         words, queue = {cur: EPSILON}, deque([cur])
         while states[cur] & full:
             i = queue.popleft()
@@ -594,35 +582,40 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
     """
     g = make_right_resolving(trim_essential(g))
     starts, states, step, good = _pair_graph(g)
-    realized, pre = _survivor_family(g, starts)
-    blocks = past_partition(g, realized)
-    block_of = {c: i for i, block in enumerate(blocks) for c in block}
+    # canonical order on vertex sets: cardinality, then sorted indices
+    family = sorted(starts, key=lambda m: (m.bit_count(), list(_bits(m))))
+    table = _prepend_table(g, family)
+    # so the labels are the classes in canonical order; each class's
+    # first set, its canonical set, moves to the front
+    labels = _moore_refinement(table, len(family))[0]
+    first: dict[int, int] = {}
+    for r, i in enumerate(labels):
+        first.setdefault(i, r)
+    order = sorted(range(len(family)), key=lambda r: first[labels[r]] != r)
+    realized = {family[r]: labels[r] for r in order}
+    slot = {r: j for j, r in enumerate(order)}
+    slot[-1] = -1
+    prepend = tuple(tuple(slot[row[r]] for r in order) for row in table)
 
+    classes = list(realized.values())
+    targets: dict[tuple[int, int], set[int | None]] = {}
+    for a, row in zip(g.alphabet, prepend):
+        for i, p in zip(classes, row):
+            targets.setdefault((i, a), set()).add(
+                None if p < 0 else classes[p])
     edges: list[Edge] = []
-    for i, block in enumerate(blocks):
-        for a in g.alphabet:
-            targets = set()
-            nonempty = set()
-            for c in block:
-                p = pre.get((a, c))
-                nonempty.add(p is not None)
-                if p is not None:
-                    k = block_of.get(p)
-                    if k is None:
-                        raise CoverInvariantError(
-                            f"prepend of letter {a} left the realized sets")
-                    targets.add(k)
-            if len(nonempty) > 1 or len(targets) > 1:
-                raise CoverInvariantError(
-                    f"letter {a} acts inconsistently on class {i + 1}")
-            if targets:
-                edges.append(Edge(targets.pop(), i, a))
+    for (i, a), srcs in sorted(targets.items()):
+        if len(srcs) > 1:
+            raise CoverInvariantError(
+                f"letter {a} acts inconsistently on class {i + 1}")
+        src = srcs.pop()
+        if src is not None:
+            edges.append(Edge(src, i, a))
 
-    reps = _class_representatives(g, blocks, starts, states, step, good)
-    cover = KriegerCover(g, tuple(frozenset(b) for b in blocks), reps,
-                         tuple(sorted(edges,
-                                      key=lambda e: (e.src, e.dst, e.label))),
-                         block_of, pre)
+    reps = _class_representatives(g, realized, len(first), starts, states,
+                                  step, good)
+    cover = KriegerCover(g, reps, tuple(sorted(
+        edges, key=lambda e: (e.src, e.dst, e.label))), realized, prepend)
     if not cover.is_left_resolving():
         raise CoverInvariantError("cover is not left-resolving")
     index = cover.index
@@ -637,8 +630,7 @@ def stabilization_level(cover: KriegerCover) -> int:
     separates the past-equivalence classes: the number of rounds of
     :func:`past_partition`'s Moore refinement that split a block.
     """
-    return _moore_refinement(
-        cover.graph, [c for block in cover.class_sets for c in block])[1]
+    return _moore_refinement(cover.prepend, len(cover.realized))[1]
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ def matrix_multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
              for j in range(cols)] for i in range(len(a))]
 
 
-def matrix_transpose(a: IntMatrix) -> IntMatrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(a)

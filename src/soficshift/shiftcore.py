@@ -183,12 +183,6 @@ class LabeledGraph:
             m &= m - 1
         return out
 
-    def out_edges(self, v: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == v]
-
-    def in_edges(self, v: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == v]
-
     def is_essential(self) -> bool:
         """True iff every vertex has an incoming and an outgoing edge."""
         outs = set(e.src for e in self.edges)

@@ -185,6 +185,32 @@ class TestImports:
             krieger.no_such_name
 
 
+class TestVertexSetsStayMasks:
+    def test_cover_verify_and_ktheory_convert_no_vertex_set(
+            self, write, capsys, monkeypatch):
+        # from the pair graph to the checks vertex sets are bitmasks;
+        # only the public boundary turns them into frozensets
+        from soficshift import isocheck, krieger
+
+        def refuse(*args):
+            raise AssertionError("a vertex set was converted")
+        monkeypatch.setattr(krieger, "_mask_to_set", refuse)
+        for name, text in (("even", EVEN_TEXT), ("golden", GOLDEN_TEXT),
+                           ("chain", CHAIN_TEXT)):
+            path = write(f"{name}.shift", text)
+            assert main(["cover", path]) == 0, name
+            assert main(["ktheory", path]) == 0, name
+            verify = ["verify", path, "--max-word-len", "4"]
+            assert main(verify) == 0, name
+            for kind in isocheck.CORRUPTION_KINDS:
+                assert main(verify + ["--corrupt", kind]) == 1, (name, kind)
+        capsys.readouterr()
+        # the boundary does convert, so the patch is in force
+        g = krieger.build_cover(soficshift.parse_presentation(EVEN_TEXT)).graph
+        with pytest.raises(AssertionError, match="converted"):
+            krieger.realized_survivor_sets(g)
+
+
 class TestWords:
     def test_even_length_two(self, write, capsys):
         assert main(["words", "-k", "2", write("even.shift", EVEN_TEXT)]) == 0

@@ -121,11 +121,9 @@ def use_slow_references(monkeypatch):
     def no_index(self):
         raise AssertionError("the slow route read the cover index")
 
-    # a property is a data descriptor, so it also hides an index, or
-    # scan tables built from it, that an earlier call cached on the
-    # instance
+    # a property is a data descriptor, so it also hides an index that
+    # an earlier call cached on the instance
     monkeypatch.setattr(KriegerCover, "index", property(no_index))
-    monkeypatch.setattr(KriegerCover, "scan_tables", property(no_index))
 
 
 # --- covers -----------------------------------------------------------
@@ -213,6 +211,13 @@ class TestIndexMatchesScans:
             for a in cover.alphabet:
                 assert cover.index.entered.get(a, 0) == sum(
                     {1 << e.dst for e in cover.edges if e.label == a}), name
+                sources = {}
+                for e in cover.edges:
+                    if e.label == a:
+                        sources.setdefault(e.dst, []).append(e.src)
+                assert {dst: list(srcs) for dst, srcs in
+                        cover.index.sources_by_label.get(a, ())} == \
+                    sources, name
 
     def test_left_resolving_flag(self, covers):
         for name, cover in covers:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,8 @@ from soficshift import (Alphabet, CoverInvariantError, EmptyShiftError,
                         stabilization_level, survivor_set,
                         transition_semigroup, trim_essential,
                         unique_labeled_path)
+import soficshift.krieger as kr
+from soficshift.shiftcore import Edge
 from conftest import (corpus_graphs, make_chain, make_even, make_full,
                        make_full_sft, make_golden, make_twins, random_corpus)
 
@@ -249,6 +252,146 @@ def check_against_semigroup(g):
     return level
 
 
+# --- the frozenset construction of the cover, a slow reference -------
+#
+# build_cover as it was before the cover stored its vertex sets as
+# bitmasks: the realized sets, the past partition, the prepend map and
+# the representatives over frozensets of vertex indices.  It shares the
+# pair graph and the ray helpers with build_cover.
+
+def set_key(c):
+    # canonical order on vertex sets: cardinality, then sorted indices
+    return (len(c), tuple(sorted(c)))
+
+
+def mask_set(mask):
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def set_mask(c):
+    return sum(1 << v for v in c)
+
+
+def slow_survivor_family(g, masks):
+    """The realized sets as frozensets, with their letter-prepend map."""
+    sets = frozenset(mask_set(m) for m in masks)
+    pre = {}
+    for m in masks:
+        c = mask_set(m)
+        for a in g.alphabet:
+            p = g.predecessors(a, m)
+            if p:
+                pre[(a, c)] = mask_set(p)
+    return sets, pre
+
+
+def slow_past_partition(g, realized):
+    """Moore refinement of the frozenset family under the letter
+    preimages, blocks in canonical order of their least set."""
+    family = list(realized)
+    n = len(family)
+    slot = {set_mask(c): k for k, c in enumerate(family)}
+    slot[0] = n  # an empty preimage reads the sentinel label -1
+    pre = [tuple(slot[g.predecessors(a, set_mask(c))] for a in g.alphabet)
+           for c in family]
+    label, blocks = [0] * n + [-1], min(1, n)
+    while True:
+        ids = {}
+        nxt = [ids.setdefault((label[k],) + tuple(label[p] for p in row),
+                              len(ids)) for k, row in enumerate(pre)]
+        if len(ids) == blocks:
+            break
+        label, blocks = nxt + [-1], len(ids)
+    groups = {}
+    for c, k in zip(family, label):
+        groups.setdefault(k, []).append(c)
+    return sorted((frozenset(b) for b in groups.values()),
+                  key=lambda b: min(set_key(c) for c in b))
+
+
+def slow_class_representatives(g, blocks, starts, states, step, good):
+    """The representatives from frozenset blocks: the first short ray
+    whose survivor set lies in the block, else the walk in the pair
+    graph from the block's least set."""
+    letters = list(g.alphabet)
+    full, k = g.full_mask(), len(letters)
+    reps = []
+    for block in blocks:
+        rep = next((Ray(u, v) for u, v in kr._short_rays(letters)
+                    if mask_set(kr._pull_back(g, u, kr._period_fixpoint(
+                        g, v))) in block), None)
+        if rep is None:
+            cur = starts[set_mask(min(block, key=set_key))]
+            words, queue = {cur: ()}, deque([cur])
+            while states[cur] & full:
+                i = queue.popleft()
+                for a in letters:
+                    j = step[i * k + a]
+                    if j >= 0 and good[j] and j not in words:
+                        words[j] = words[i] + (a,)
+                        queue.append(j)
+                        if not states[j] & full:
+                            cur = j
+                            break
+            u, seen, seq = words[cur], {cur: 0}, []
+            while len(seen) > len(seq):
+                cur, a = next((j, a) for a in letters
+                              if (j := step[cur * k + a]) >= 0 and good[j])
+                seq.append(a)
+                seen.setdefault(cur, len(seq))
+            rep = Ray(u + tuple(seq[:seen[cur]]), tuple(seq[seen[cur]:]))
+        reps.append(rep)
+    return tuple(reps)
+
+
+def slow_cover(h):
+    """The frozenset construction on the conditioned presentation h:
+    (blocks, block_of, pre_map, canonical sets, representatives,
+    edges)."""
+    starts, states, step, good = kr._pair_graph(h)
+    realized, pre = slow_survivor_family(h, starts)
+    blocks = slow_past_partition(h, realized)
+    block_of = {c: i for i, block in enumerate(blocks) for c in block}
+    edges = []
+    for i, block in enumerate(blocks):
+        for a in h.alphabet:
+            targets = {block_of.get(pre.get((a, c)), "empty")
+                       for c in block}
+            assert len(targets) == 1, (i, a)
+            src = targets.pop()
+            if src != "empty":
+                edges.append(Edge(src, i, a))
+    edges.sort(key=lambda e: (e.src, e.dst, e.label))
+    canonical = tuple(min(block, key=set_key) for block in blocks)
+    reps = slow_class_representatives(h, blocks, starts, states, step, good)
+    return blocks, block_of, pre, canonical, reps, tuple(edges)
+
+
+def check_against_frozenset_cover(g):
+    """The cover of ``g`` and its mask tables against the frozenset
+    construction."""
+    cover = build_cover(g)
+    blocks, block_of, pre, canonical, reps, edges = slow_cover(cover.graph)
+    masks = list(cover.realized)
+    m = cover.class_count
+    # the class order and each class's survivor sets
+    assert list(cover.class_sets) == blocks
+    assert {mask_set(mask): i for mask, i in cover.realized.items()} == \
+        block_of
+    # the canonical sets, in the first slots
+    assert cover.canonical_sets == canonical
+    assert tuple(mask_set(mask) for mask in masks[:m]) == canonical
+    assert [cover.realized[mask] for mask in masks[:m]] == list(range(m))
+    # the prepend map
+    assert len(cover.prepend) == len(cover.alphabet)
+    assert all(len(row) == len(masks) for row in cover.prepend)
+    assert {(a, mask_set(masks[r])): mask_set(masks[p])
+            for a, row in enumerate(cover.prepend)
+            for r, p in enumerate(row) if p >= 0} == pre
+    assert cover.representatives == reps
+    assert cover.edges == edges
+
+
 def random_presentations(seed):
     """Seeded random presentations: right-resolving ones over 2, 3 and
     10 letters, and 2-letter ones that are not right-resolving."""
@@ -310,6 +453,20 @@ def permutation_equivalent(a, b):
                for i in range(n) for j in range(n)):
             return True
     return False
+
+
+class TestFrozensetReference:
+    def test_corpus_and_random_presentations(self):
+        for name, g in corpus_graphs() + random_presentations(seed=317):
+            try:
+                check_against_frozenset_cover(g)
+            except AssertionError as err:
+                raise AssertionError(name) from err
+
+    @settings(max_examples=200, deadline=None)
+    @given(GENERATED_SHAPES)
+    def test_generated_presentations(self, shape):
+        check_against_frozenset_cover(generated_graph(shape))
 
 
 class TestSurvivorSets:
@@ -834,10 +991,7 @@ class TestUniqueLabeledPath:
                         path = unique_labeled_path(cover, w, i)
                         assert bool(mask) == (path is not None), (name, w)
                         if path is not None:
-                            s = frozenset(
-                                v for v in range(g.vertex_count)
-                                if mask >> v & 1)
-                            assert cover.block_of[s] == path[0].src
+                            assert cover.realized[mask] == path[0].src
 
 
 class TestDot:

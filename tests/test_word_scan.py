@@ -3,7 +3,8 @@ the per-word scan it replaced.
 
 ``slow_scan_rounds`` is that scan: it visits every admissible word and
 keeps the path relation of each.  It reads ``cover.edges`` and the
-prepend map directly, never the cover's index or ``scan_tables``.
+cover's mask tables of realized sets and prepends directly, never the
+cover's index.
 ``isocheck._scan_words`` must record the same ``checked=`` count and
 the same witness for every family, on seeded covers, intact and
 corrupted, and on generated right-resolving presentations.
@@ -19,7 +20,6 @@ from soficshift import (Alphabet, LabeledGraph, build_cover, corrupt_cover,
                         diagonal, isocheck, trim_essential)
 from soficshift.errors import AmbiguousLabelError, EmptyShiftError
 from soficshift.isocheck import CORRUPTION_KINDS, _Recorder, _word_str
-from soficshift.krieger import _set_to_mask
 from soficshift.shiftcore import EPSILON, Edge
 from conftest import corpus_graphs, make_even, make_full, random_corpus
 from test_cover_index import duplicate_two_labels
@@ -45,11 +45,12 @@ def slow_scan_rounds(cover, max_len, clopen_len):
     """
     rec = _Recorder()
     m = cover.class_count
-    block_of_mask = {_set_to_mask(c): i for c, i in cover.block_of.items()}
-    class_masks = [_set_to_mask(c) for c in cover.canonical_sets]
+    block_of_mask = dict(cover.realized)
     realized_masks = list(block_of_mask)
-    pre_mask = {(a, _set_to_mask(c)): _set_to_mask(p)
-                for (a, c), p in cover.pre_map.items()}
+    class_masks = realized_masks[:m]
+    pre_mask = {(a, realized_masks[r]): realized_masks[p]
+                for a, row in zip(cover.alphabet, cover.prepend)
+                for r, p in enumerate(row) if p >= 0}
     in_edges_by_label = {}
     for e in cover.edges:
         in_edges_by_label.setdefault(e.label, []).append(e)
@@ -225,17 +226,22 @@ def tampered_even_covers():
     preimages are closed under taking tails, so only such a map lets a
     word outlive its pruned tail."""
     cover = build_cover(make_even())
-    empty = frozenset()
+    masks = list(cover.realized)
+    empty = len(masks)  # the slot of the empty set, mask 0, in class 0
     out = []
-    for (a, c) in cover.pre_map:
-        for b in cover.alphabet:
-            for target in cover.block_of:
-                pre_map = {**cover.pre_map, (a, c): empty,
-                           (b, empty): target}
-                bad = dataclasses.replace(
-                    cover, block_of={**cover.block_of, empty: 0},
-                    pre_map=pre_map)
-                out += with_variants(f"even/{a}{sorted(c)}{b}", bad)
+    for a, row in zip(cover.alphabet, cover.prepend):
+        for r, p in enumerate(row):
+            if p < 0:
+                continue
+            for b in cover.alphabet:
+                for target in range(len(masks)):
+                    prepend = [list(row) + [-1] for row in cover.prepend]
+                    prepend[a][r] = empty
+                    prepend[b][empty] = target
+                    bad = dataclasses.replace(
+                        cover, realized={**cover.realized, 0: 0},
+                        prepend=tuple(map(tuple, prepend)))
+                    out += with_variants(f"even/{a}{masks[r]:b}{b}", bad)
     return out
 
 
@@ -325,37 +331,6 @@ class TestMatchesPerWordScan:
                 assume(False)
         assert recorded(isocheck._scan_words(cover, max_len, clopen_len)) \
             == recorded(slow_scan_words(cover, max_len, clopen_len))
-
-
-class TestScanTables:
-    def test_tables_match_the_cover(self, covers):
-        for name, cover in covers:
-            t = cover.scan_tables
-            masks = list(t.block_of_mask)
-            assert t.block_of_mask == {
-                _set_to_mask(c): i for c, i in cover.block_of.items()}
-            assert [masks[r] for r in t.slot] == [
-                _set_to_mask(c) for c in cover.canonical_sets]
-            for a in cover.alphabet:
-                for c, r in zip(cover.block_of, t.pre[a]):
-                    p = cover.pre_map.get((a, c))
-                    assert (r == -1 if p is None
-                            else masks[r] == _set_to_mask(p)), name
-                into = {}
-                for e in cover.edges:
-                    if e.label == a:
-                        into.setdefault(e.dst, []).append(e.src)
-                assert {dst: list(srcs) for dst, srcs in t.into[a]} == \
-                    into, name
-
-    def test_built_once_per_cover(self, covers):
-        for name, cover in covers:
-            tables = cover.scan_tables
-            assert cover.scan_tables is tables
-            for bad in (cover.with_edges(cover.edges[1:]),
-                        dataclasses.replace(cover)):
-                assert "scan_tables" not in vars(bad), name
-                assert bad.scan_tables is not tables, name
 
 
 class TestMemory:

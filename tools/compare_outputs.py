@@ -6,7 +6,9 @@
 For every workload seed the inputs of each workload are drawn from
 ``bench/corpus.py`` (of this checkout) and each distinct input is run
 through ``cover``, ``matrix``, ``ktheory`` and ``verify``, intact and
-with each ``--corrupt`` kind.  ``verify`` takes the workload's own
+with each ``--corrupt`` kind, and through ``oracle`` at its default
+``--bound``, the one command that reads the frozenset survivor sets
+of ``realized_survivor_sets``.  ``verify`` takes the workload's own
 ``--max-word-len`` on the verify workloads; on the ``cover_ktheory``
 inputs it takes 4, or 2 over more than three letters.  Each checkout
 runs every call in one child process that imports ``soficshift`` from
@@ -76,7 +78,7 @@ def calls(seeds, workloads, directory: str) -> list[list[str]]:
                     length = "2"
                 verify = ["verify", path, "--max-word-len", length]
                 out += [["cover", path], ["matrix", path], ["ktheory", path],
-                        verify]
+                        ["oracle", path], verify]
                 out += [verify + ["--corrupt", kind]
                         for kind in corpus.CORRUPTION_KINDS]
     return out
