@@ -235,7 +235,8 @@ def tampered_even_covers():
                 continue
             for b in cover.alphabet:
                 for target in range(len(masks)):
-                    prepend = [list(row) + [-1] for row in cover.prepend]
+                    prepend = [list(slots) + [-1]
+                               for slots in cover.prepend]
                     prepend[a][r] = empty
                     prepend[b][empty] = target
                     bad = dataclasses.replace(
