@@ -457,7 +457,9 @@ def permutation_equivalent(a, b):
 
 class TestFrozensetReference:
     def test_corpus_and_random_presentations(self):
-        for name, g in corpus_graphs() + random_presentations(seed=317):
+        graphs = corpus_graphs() + random_presentations(seed=317) + [
+            (f"random{i}", g) for i, g in enumerate(random_corpus(12, 707))]
+        for name, g in graphs:
             try:
                 check_against_frozenset_cover(g)
             except AssertionError as err:
