@@ -582,11 +582,11 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
     """
     g = make_right_resolving(trim_essential(g))
     starts, states, step, good = _pair_graph(g)
-    # canonical order on vertex sets: cardinality, then sorted indices
+    # the family in canonical order (cardinality, then sorted indices)
+    # makes the labels the classes in canonical order; each class's
+    # first set, its canonical set, then moves to the front
     family = sorted(starts, key=lambda m: (m.bit_count(), list(_bits(m))))
     table = _prepend_table(g, family)
-    # so the labels are the classes in canonical order; each class's
-    # first set, its canonical set, moves to the front
     labels = _moore_refinement(table, len(family))[0]
     first: dict[int, int] = {}
     for r, i in enumerate(labels):
