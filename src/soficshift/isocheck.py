@@ -14,10 +14,13 @@ depend on: the word families once per scan state, the conjugation
 identity once per post image (the set of classes a word can precede),
 the projection formulas once per table word's post image.  One
 ``verify_all`` call takes each word's post image once, in a table that
-the word scan, the conjugation check and the formulas share.  Range
-projection orthogonality groups the edges by the depth-1 cells of
-their images and by their (label, range) pairs; every pair in a group
-fails, so only the least such pair is intersected, for its witness.
+the word scan, the conjugation check and the formulas share.  It also
+builds each edge's mapped range projection once, in one list that
+class_edge_splitting, edge_support_sums, range_projection_orthogonality
+and range_projection_partition share.  Range projection orthogonality
+groups the edges by the depth-1 cells of their images and by their
+(label, range) pairs; every pair in a group fails, so only the least
+such pair is intersected, for its witness.
 The memo tables are locals of one call, and each witness is the one a
 word by word, class by class, pair by pair run gives.
 
@@ -43,7 +46,7 @@ from . import diagonal
 from .diagonal import ClopenSet
 from .errors import AmbiguousLabelError
 from .krieger import KriegerCover
-from .shiftcore import EPSILON, Edge, Word
+from .shiftcore import EPSILON, Edge, Word, words_of_length
 
 FAMILY_ORDER = (
     "word_path_equivalence",
@@ -323,18 +326,12 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                     rec.fail("word_range_projections", lambda: (
                         f"word {_word_str(cover, w)}: {lhs}"))
                 else:
-                    rhs = diagonal.ClopenSet(
-                        cover, 0, [(EPSILON, i) for i in range(m)
-                                   if a_set >> i & 1], validate=False)
+                    rhs = diagonal._at_word(cover, EPSILON, a_set)
                     if lhs != rhs:
                         rec.fail("word_range_projections", lambda: (
                             f"word {_word_str(cover, w)}: "
                             f"{lhs.render()} != {rhs.render()}"))
         frontier = nxt
-    for fam in ("word_path_equivalence", "shifted_cylinder_classes",
-                "labeled_path_ranges", "path_concatenation",
-                "word_range_projections"):
-        rec.count(fam, 0)
     return rec
 
 
@@ -361,36 +358,34 @@ _SplitOutcome = tuple[bool, str] | None
 
 
 def _split_identities(cover: KriegerCover,
-                      derived: list[set[tuple[int, int]]]
-                      ) -> list[_SplitOutcome]:
+                      derived: list[set[tuple[int, int]]],
+                      images: list[ClopenSet]) -> list[_SplitOutcome]:
     """Per class i, the split identity E_i = sum over the out-edges e
-    of i of the conjugate of E_r(e) by the letter of e, grounded
-    against the derived split.
+    of i of the mapped range projection of e, from ``images``, grounded
+    against the derived split.  The images of each class's out-edges
+    are united in edge order.
 
     An outcome is None when it holds, else (whether the cover's split
     already differs from the derived one, the detail for a witness).
     """
+    by_src: list[list[ClopenSet]] = [[] for _ in range(cover.class_count)]
+    for e, img in zip(cover.edges, images):
+        by_src[e.src].append(img)
     outcomes: list[_SplitOutcome] = []
     for i in range(cover.class_count):
-        out = cover.out_edges(i)
-        cover_split = {(e.label, e.dst) for e in out}
+        cover_split = {(e.label, e.dst) for e in cover.out_edges(i)}
         if cover_split != derived[i]:
             outcomes.append((True, f"cover split "
                                    f"{_split_str(cover, cover_split)} != "
                                    f"derived split "
                                    f"{_split_str(cover, derived[i])}"))
             continue
-        try:
-            lhs = diagonal.class_projection(cover, i)
-            rhs = diagonal.empty_set(cover)
-            for e in out:
-                rhs = rhs.union(diagonal.conj_by_letter(
-                    cover, e.label,
-                    diagonal.class_projection(cover, e.dst)))
-            outcomes.append(None if lhs == rhs else
-                            (False, f"{lhs.render()} != {rhs.render()}"))
-        except AmbiguousLabelError as exc:
-            outcomes.append((False, str(exc)))
+        lhs = diagonal.class_projection(cover, i)
+        rhs = diagonal.empty_set(cover)
+        for img in by_src[i]:
+            rhs = rhs.union(img)
+        outcomes.append(None if lhs == rhs else
+                        (False, f"{lhs.render()} != {rhs.render()}"))
     return outcomes
 
 
@@ -437,8 +432,6 @@ def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
     and counted per word; the witness is the first failing (word,
     letter), words in length then lexicographic order.
     """
-    from .shiftcore import words_of_length
-
     if post_images is None:
         post_images = _PostImages(cover)
     cap = min(max_len, CLOPEN_WORD_CAP)
@@ -464,23 +457,24 @@ def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
                 f"{_word_str(cover, nu)}: {detail}"))
 
 
-def _range_images(cover: KriegerCover,
-                  rec: _Recorder) -> list[ClopenSet | None]:
-    """Per edge e, the mapped range projection: E_r(e) conjugated by
-    the letter of e, or None where that is ambiguous."""
-    images: list[ClopenSet | None] = []
-    for e in cover.edges:
-        try:
-            images.append(diagonal.conj_by_letter(
-                cover, e.label, diagonal.class_projection(cover, e.dst)))
-        except AmbiguousLabelError as exc:
-            rec.fail("range_projection_orthogonality", str(exc))
-            images.append(None)
-    return images
+def _range_images(cover: KriegerCover) -> list[ClopenSet]:
+    """Per edge e, the mapped range projection s_e s_e*: E_r(e)
+    conjugated by the letter of e.
+
+    One list, built once per verify call, serves class_edge_splitting,
+    edge_support_sums (through the split identities),
+    range_projection_orthogonality and range_projection_partition.  A
+    class projection has depth 0, so conjugating it walks no edge
+    backward and meets no ambiguity, even on a cover that is not
+    left-resolving.
+    """
+    return [diagonal.conj_by_letter(cover, e.label,
+                                    diagonal.class_projection(cover, e.dst))
+            for e in cover.edges]
 
 
 def _check_orthogonality(cover: KriegerCover, rec: _Recorder,
-                         images: list[ClopenSet | None]) -> None:
+                         images: list[ClopenSet]) -> None:
     """range_projection_orthogonality: distinct edges have distinct
     (label, range) pairs and disjoint mapped range projections.
 
@@ -497,10 +491,9 @@ def _check_orthogonality(cover: KriegerCover, rec: _Recorder,
     groups: dict[tuple, list[int]] = {}
     for idx, (e, img) in enumerate(zip(edges, images)):
         groups.setdefault((e.label, e.dst, "range"), []).append(idx)
-        if img is not None:
-            assert img.depth <= 1, "range projection deeper than 1"
-            for cell in img.refine(1).cells:
-                groups.setdefault(cell, []).append(idx)
+        assert img.depth <= 1, "range projection deeper than 1"
+        for cell in img.refine(1).cells:
+            groups.setdefault(cell, []).append(idx)
     pairs = [(m[0], m[1]) for m in groups.values() if len(m) > 1]
     if not pairs:
         return
@@ -519,9 +512,9 @@ def _check_orthogonality(cover: KriegerCover, rec: _Recorder,
 
 def _check_ck(cover: KriegerCover, rec: _Recorder,
               derived: list[set[tuple[int, int]]],
-              outcomes: list[_SplitOutcome]) -> None:
+              outcomes: list[_SplitOutcome],
+              images: list[ClopenSet]) -> None:
     edges = cover.edges
-    images = _range_images(cover, rec)
     _check_orthogonality(cover, rec, images)
 
     # edge_support_sums: the support projection of each mapped
@@ -550,17 +543,13 @@ def _check_ck(cover: KriegerCover, rec: _Recorder,
             f"depth-1 cells from edges {_split_str(cover, cover_cells)} "
             f"!= derived cells {_split_str(cover, derived_cells)}")
     else:
-        try:
-            total = diagonal.empty_set(cover)
-            for img in images:
-                if img is not None:
-                    total = total.union(img)
-            if total != diagonal.full_space(cover):
-                rec.fail("range_projection_partition",
-                         f"union of range projections is "
-                         f"{total.render()}, not the whole space")
-        except AmbiguousLabelError as exc:
-            rec.fail("range_projection_partition", str(exc))
+        total = diagonal.empty_set(cover)
+        for img in images:
+            total = total.union(img)
+        if total != diagonal.full_space(cover):
+            rec.fail("range_projection_partition",
+                     f"union of range projections is "
+                     f"{total.render()}, not the whole space")
 
 
 def _check_edge_sum_structural(cover: KriegerCover, rec: _Recorder) -> None:
@@ -674,7 +663,9 @@ def verify_ck_relations(cover: KriegerCover) -> tuple[CheckResult, ...]:
     same-source edges, and the partition of the whole space."""
     rec = _Recorder()
     derived = _derived_splits(cover)
-    _check_ck(cover, rec, derived, _split_identities(cover, derived))
+    images = _range_images(cover)
+    _check_ck(cover, rec, derived,
+              _split_identities(cover, derived, images), images)
     return _results(rec, ("range_projection_orthogonality",
                           "edge_support_sums",
                           "range_projection_partition"))
@@ -717,10 +708,11 @@ def verify_all(cover: KriegerCover, max_len: int = 8) -> Report:
                       clopen_len=min(max_len, CLOPEN_WORD_CAP),
                       post_images=post_images)
     derived = _derived_splits(cover)
-    outcomes = _split_identities(cover, derived)
+    images = _range_images(cover)
+    outcomes = _split_identities(cover, derived, images)
     _check_class_splitting(cover, rec, outcomes)
     _check_conjugation(cover, rec, max_len, post_images)
-    _check_ck(cover, rec, derived, outcomes)
+    _check_ck(cover, rec, derived, outcomes, images)
     _check_edge_sum_structural(cover, rec)
     _check_round_trips(cover, rec)
     _check_projection_formulas(cover, rec, post_images)

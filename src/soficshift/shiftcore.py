@@ -245,6 +245,7 @@ def parse_presentation(text: str) -> LabeledGraph | SftSpec:
     vertex_names: list[str] = []
     vertex_index: dict[str, int] = {}
     edges: list[Edge] = []
+    seen_edges: set[Edge] = set()
     forbidden: list[Word] = []
     mode: str | None = None  # "graph" or "sft"
 
@@ -301,9 +302,10 @@ def parse_presentation(text: str) -> LabeledGraph | SftSpec:
                     f"undeclared symbol {label!r}", lineno)
             edge = Edge(vertex_index[src], vertex_index[dst],
                         alphabet.index(label))
-            if edge in edges:
+            if edge in seen_edges:
                 raise InputFormatError(
                     f"duplicate edge {src} {dst} {label}", lineno)
+            seen_edges.add(edge)
             edges.append(edge)
         elif directive == "forbid":
             if mode == "graph":

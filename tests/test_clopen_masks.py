@@ -230,7 +230,7 @@ def test_no_cyclic_garbage():
 
 def orthogonality(check, cover):
     rec = _Recorder()
-    check(cover, rec, isocheck._range_images(cover, rec))
+    check(cover, rec, isocheck._range_images(cover))
     return rec.checked.get(ORTHOGONALITY, 0), rec.witness.get(ORTHOGONALITY)
 
 

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
 
-from soficshift import (Alphabet, build_cover, corrupt_cover, verify_all,
-                        verify_ck_relations, verify_edge_sum_hypotheses,
-                        verify_round_trips)
+from soficshift import (Alphabet, build_cover, corrupt_cover, diagonal,
+                        isocheck, verify_all, verify_ck_relations,
+                        verify_edge_sum_hypotheses, verify_round_trips)
 from soficshift.isocheck import CORRUPTION_KINDS, FAMILY_ORDER
 from conftest import make_full, random_corpus
+from test_krieger import GENERATED_SHAPES, generated_graph
+from test_word_scan import with_variants
 
 # for every check family, a corruption that must trip it
 NEGATIVE_CONTROLS = {
@@ -152,3 +155,70 @@ class TestReportRendering:
         assert "FAIL" in text and "witness=" in text
         assert text.splitlines()[-1].startswith(
             f"families={len(FAMILY_ORDER)} failed=")
+
+
+def forbidden(*args):
+    raise AssertionError("forbidden call")
+
+
+def ck_relations_without_backward_walks(cover):
+    """``verify_ck_relations`` unpatched, and with ``diagonal._sources``,
+    the engine's only backward walk, patched to raise."""
+    expected = verify_ck_relations(cover)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagonal, "_sources", forbidden)
+        return expected, verify_ck_relations(cover)
+
+
+class TestRangeImages:
+    """One mapped range projection per edge serves every CK family.
+
+    Each image conjugates a depth-0 class projection, so it walks no
+    edge backward and cannot meet an ambiguity, even on the
+    ``duplicate-label`` covers, which are not left-resolving.
+    """
+
+    def test_corpus_needs_no_backward_walk(self, corpus_covers):
+        not_left_resolving = 0
+        for name, cover in corpus_covers:
+            for label, variant in with_variants(name, cover):
+                expected, got = ck_relations_without_backward_walks(variant)
+                assert got == expected, label
+                not_left_resolving += not variant.is_left_resolving()
+        assert not_left_resolving > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(GENERATED_SHAPES)
+    def test_generated_covers_need_no_backward_walk(self, shape):
+        cover = build_cover(generated_graph(shape))
+        for label, variant in with_variants("generated", cover):
+            expected, got = ck_relations_without_backward_walks(variant)
+            assert got == expected, label
+
+    def test_one_conjugation_per_edge(self, corpus_covers, monkeypatch):
+        conj = diagonal.conj_by_letter
+        calls = [0]
+
+        def counting_conj(cover, letter, F):
+            calls[0] += 1
+            return conj(cover, letter, F)
+
+        monkeypatch.setattr(diagonal, "conj_by_letter", counting_conj)
+        for name, cover in corpus_covers:
+            for label, variant in with_variants(name, cover):
+                calls[0] = 0
+                verify_ck_relations(variant)
+                assert calls[0] == len(variant.edges), label
+
+    def test_split_identities_read_the_images(self, corpus_covers,
+                                              monkeypatch):
+        for name, cover in corpus_covers:
+            for label, variant in with_variants(name, cover):
+                derived = isocheck._derived_splits(variant)
+                images = isocheck._range_images(variant)
+                expected = isocheck._split_identities(variant, derived,
+                                                      images)
+                with monkeypatch.context() as mp:
+                    mp.setattr(diagonal, "conj_by_letter", forbidden)
+                    assert isocheck._split_identities(
+                        variant, derived, images) == expected, label

@@ -3,9 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficshift import (Alphabet, EmptyShiftError, InputFormatError,
-                        LabeledGraph, Ray, SftSpec, is_admissible,
-                        parse_presentation, ray_admissible,
+from soficshift import (Alphabet, Edge, EmptyShiftError,
+                        InputFormatError, LabeledGraph, Ray, SftSpec,
+                        is_admissible, parse_presentation, ray_admissible,
                         serialize_presentation, sft_to_graph,
                         words_of_length)
 from conftest import (EVEN_TEXT, GOLDEN_TEXT, corpus_graphs, make_even,
@@ -73,6 +73,26 @@ class TestParsing:
         text = "alphabet 0\nvertex a\nedge a a 0\nedge a a 0\n"
         with pytest.raises(InputFormatError, match="line 4"):
             parse_presentation(text)
+
+    def test_duplicate_edge_check_compares_no_earlier_edges(self,
+                                                           monkeypatch):
+        # 1,000 distinct edges: a scan of the earlier edges would
+        # compare 499,500 pairs, a set of the edges seen almost none
+        lines = ["alphabet " + " ".join(str(a) for a in range(10))]
+        lines += [f"vertex v{i}" for i in range(10)]
+        lines += [f"edge v{i} v{j} {a}" for i in range(10)
+                  for j in range(10) for a in range(10)]
+        calls = [0]
+        eq = Edge.__eq__
+
+        def counting_eq(self, other):
+            calls[0] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(Edge, "__eq__", counting_eq)
+        g = parse_presentation("\n".join(lines) + "\n")
+        assert len(g.edges) == 1000
+        assert calls[0] < len(g.edges)
 
     def test_mixed_modes_rejected(self):
         with pytest.raises(InputFormatError):
