@@ -2,8 +2,9 @@
 
 Subcommands: ``cover``, ``matrix``, ``verify``, ``ktheory``,
 ``oracle``, ``words``.  Exit codes: 0 on success, 1 when a
-verification or oracle comparison fails, 2 on input errors.  All
-output is byte-deterministic for fixed input and flags.
+verification or oracle comparison fails, 2 on input errors, unreadable
+or unwritable files and invalid option values.  All output is
+byte-deterministic for fixed input and flags.
 """
 
 from __future__ import annotations
@@ -13,18 +14,14 @@ import sys
 
 from . import isocheck, krieger
 from .automata import make_right_resolving, trim_essential
-from .errors import InputFormatError, SoficError
+from .errors import SoficError
 from .shiftcore import (LabeledGraph, SftSpec, parse_presentation,
                         sft_to_graph, words_of_length)
 
 
 def _load_graph(path: str) -> LabeledGraph:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputFormatError(str(exc)) from None
-    obj = parse_presentation(text)
+    with open(path, encoding="utf-8") as handle:
+        obj = parse_presentation(handle.read())
     if isinstance(obj, SftSpec):
         return sft_to_graph(obj)
     return trim_essential(obj)
@@ -131,7 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cross-check realized survivor sets against "
                             "ray enumeration")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=int, default=10,
+                   help="longest preperiod and period of the enumerated "
+                        "rays; at least 1 (default 10)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("words", help="list the admissible words of length k")
@@ -146,7 +145,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SoficError, ValueError) as exc:
+    except (SoficError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

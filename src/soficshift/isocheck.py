@@ -170,9 +170,10 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     A word's core is the relation route's preimage of every realized
     survivor set, extended one letter at a time through the prepend
     map, and the graph route's backward map (end class -> source class
-    of the unique path) and forward path ends.  Its scan state adds
-    its first letter, its tail's core (None once the tail was pruned)
-    and the class where two paths labeled the word end, if any.  Every
+    of the unique path).  The backward map also gives the forward path
+    ends: both start at every class, and a letter keeps a class exactly
+    when one of its sources on that letter is kept.  Its scan state
+    adds the class where two paths labeled the word end, if any.  Every
     word-indexed check depends only on the scan state, so it is decided
     once per (length, state) pair and counted once per word reaching
     the pair.  Pairs are taken in the order of their least words: by
@@ -183,6 +184,8 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     itself, so ``word_range_projections`` compares each word's post
     image, read from ``post_images``, with the relation route.
     """
+    if max_len < 0:
+        raise ValueError("word length must be nonnegative")
     if post_images is None:
         post_images = _PostImages(cover)
     rec = _Recorder()
@@ -191,30 +194,30 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     into = cover.index.sources_by_label
     letters = list(cover.alphabet)
     # core id -> (preimage per slot of cover.realized, back (-1: no
-    # path), fwd, relation classes, path classes), the last three as
-    # bitmasks over classes; slot i < m holds class i's canonical set
+    # path), relation classes, path classes), the last two as bitmasks
+    # over classes; slot i < m holds class i's canonical set.  A core
+    # is keyed by its first two fields, which fix the other two.
     cores: list[tuple] = []
     ids: dict[tuple, int] = {}
     steps: dict[tuple[int, int], tuple[int | None, int | None]] = {}
 
-    def core(P: tuple, back: tuple, fwd: int) -> int | None:
-        a_set = sum(1 << i for i in range(m) if P[i])
-        b_set = sum(1 << i for i, s in enumerate(back) if s >= 0)
-        if not a_set and not b_set:
-            return None
-        key = (P, back, fwd, a_set, b_set)
+    def core(P: tuple, back: tuple) -> int | None:
+        key = (P, back)
         if key not in ids:
+            a_set = sum(1 << i for i in range(m) if P[i])
+            b_set = sum(1 << i for i, s in enumerate(back) if s >= 0)
+            if not a_set and not b_set:
+                return None
             ids[key] = len(cores)
-            cores.append(key)
+            cores.append((P, back, a_set, b_set))
         return ids[key]
 
     def step(cid: int, a: int) -> tuple[int | None, int | None]:
         # the core after letter a (None if pruned), and the class where
         # two paths meet on a, the last such in edge order
         if (cid, a) not in steps:
-            P, back, fwd = cores[cid][:3]
+            P, back = cores[cid][:2]
             back2 = [-1] * m
-            fwd2 = 0
             met = None
             for dst, srcs in into.get(a, ()):
                 live = [s for s in srcs if back[s] >= 0]
@@ -223,42 +226,33 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                     if len(live) > 1 and (met is None
                                           or (live[-1], dst) > met):
                         met = (live[-1], dst)
-                if any(fwd >> s & 1 for s in srcs):
-                    fwd2 |= 1 << dst
             steps[cid, a] = (
                 core(tuple(P[r] if r >= 0 else 0 for r in prepend[a]),
-                     tuple(back2), fwd2),
+                     tuple(back2)),
                 None if met is None else met[1])
         return steps[cid, a]
 
-    start = core(tuple(realized), tuple(range(m)), (1 << m) - 1)
-    # (core, first letter, tail core, ambiguous class, word up to
-    # clopen_len) -> [word count, least word]
+    # (core, ambiguous class, word up to clopen_len) -> [word count,
+    # least word]
     frontier: dict[tuple, list] = {
-        (start, None, None, None, EPSILON): [1, EPSILON]}
+        (core(tuple(realized), tuple(range(m))), None, EPSILON):
+            [1, EPSILON]}
     for k in range(1, max_len + 1):
         nxt: dict[tuple, list] = {}
-        for (cid, first, tail, _, _), (n, least) in frontier.items():
+        for (cid, _, _), (n, least) in frontier.items():
             for a in letters:
                 child, amb = step(cid, a)
                 if child is None:
                     continue
-                if k == 1:
-                    # the tail of a one-letter word is the empty word
-                    first2, tail2 = a, start
-                else:
-                    first2 = first
-                    tail2 = None if tail is None else step(tail, a)[0]
                 w = least + (a,)
-                key = (child, first2, tail2, amb,
-                       w if k <= clopen_len else None)
+                key = (child, amb, w if k <= clopen_len else None)
                 if key in nxt:
                     nxt[key][0] += n
                 else:
                     nxt[key] = [n, w]
 
-        for (cid, first, tail, amb, _), (n, w) in nxt.items():
-            P, back, fwd, a_set, b_set = cores[cid]
+        for (cid, amb, _), (n, w) in nxt.items():
+            P, back, a_set, b_set = cores[cid]
 
             # witnesses are callables, rendered only when kept
             if amb is not None:
@@ -296,26 +290,24 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                     f"{_class_numbers(b_set)} != relation "
                     f"classes {_class_numbers(a_set)}"))
 
-            # labeled_path_ranges: forward path ends against the
-            # relation route
+            # labeled_path_ranges: forward path ends, the classes where
+            # the backward map is defined, against the relation route
             rec.count("labeled_path_ranges", n)
-            if fwd != a_set:
+            if b_set != a_set:
                 rec.fail("labeled_path_ranges", lambda: (
                     f"word {_word_str(cover, w)}: forward ends "
-                    f"{_class_numbers(fwd)} != relation "
+                    f"{_class_numbers(b_set)} != relation "
                     f"classes {_class_numbers(a_set)}"))
 
             # path_concatenation: the source/end relation of the word
-            # factors through its first letter; each relation is a map
-            # end class -> source class, so they compose by indexing
+            # factors through its first letter.  The backward map is
+            # composed of per-letter maps read from one index, so where
+            # each is a partial function the factoring holds by
+            # construction; where one is not, its one-letter word has
+            # two paths meeting (the ambiguity above) and fails first.
+            # So only the words of length >= 2 are counted here.
             if k > 1:
                 rec.count("path_concatenation", n)
-                head = cores[step(start, first)[0]][1]
-                mid = cores[tail][1] if tail is not None else (-1,) * m
-                if back != tuple(head[x] if x >= 0 else -1 for x in mid):
-                    rec.fail("path_concatenation", lambda: (
-                        f"word {_word_str(cover, w)}: path relation "
-                        f"differs from first-letter composition"))
 
             # word_range_projections: clopen post image against the
             # relation-route class sum

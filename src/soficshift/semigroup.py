@@ -201,7 +201,14 @@ def realized_survivor_sets_bruteforce(
     sets, so the enumeration runs over the semigroup elements reachable
     within ``bound`` letters; it shares no structure with the pair
     graph of :func:`soficshift.krieger.realized_survivor_sets`.
+
+    Raises
+    ------
+    ValueError
+        If ``bound`` is below 1: a ray's period needs a letter.
     """
+    if bound < 1:
+        raise ValueError("ray bound must be at least 1")
     require_essential(g)
     sg = transition_semigroup(g)
     n = g.vertex_count

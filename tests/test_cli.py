@@ -62,6 +62,14 @@ class TestCover:
     def test_missing_file_exits_2(self, capsys):
         assert main(["cover", "/nonexistent/nowhere.shift"]) == 2
 
+    def test_dot_into_missing_directory_exits_2(self, write, capsys,
+                                                tmp_path):
+        dot = tmp_path / "missing" / "cover.dot"
+        assert main(["cover", write("even.shift", EVEN_TEXT),
+                     "--dot", str(dot)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not dot.exists()
+
     def test_byte_deterministic(self, write, capsys):
         path = write("even.shift", EVEN_TEXT)
         main(["cover", path])
@@ -108,6 +116,13 @@ class TestVerify:
     def test_reducible_fixture_passes(self, write, capsys):
         assert main(["verify", write("chain.shift", CHAIN_TEXT)]) == 0
 
+    def test_negative_word_length_exits_2(self, write, capsys):
+        assert main(["verify", write("even.shift", EVEN_TEXT),
+                     "--max-word-len", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: word length must be nonnegative\n"
+
 
 class TestKtheory:
     def test_full_three_shift(self, write, capsys):
@@ -138,6 +153,14 @@ class TestOracle:
         assert main(["oracle", write("full2.shift", FULL2_TEXT),
                      "--bound", "1"]) == 0
         assert capsys.readouterr().out == "1 set via both methods\n"
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_bound_below_one_exits_2(self, write, capsys, bound):
+        assert main(["oracle", write("full2.shift", FULL2_TEXT),
+                     "--bound", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ray bound must be at least 1\n"
 
     def test_mismatch_names_both_methods(self, write, capsys, monkeypatch):
         # the even shift realizes {a}, {b} and {a, b}

@@ -141,6 +141,12 @@ class TestNegativeControls:
         with pytest.raises(ValueError):
             corrupt_cover(even_cover, "melt")
 
+    def test_negative_word_length_rejected(self, even_cover):
+        for verify in (verify_all, verify_edge_sum_hypotheses):
+            with pytest.raises(ValueError,
+                               match="word length must be nonnegative"):
+                verify(even_cover, max_len=-2)
+
 
 class TestReportRendering:
     def test_pass_and_summary_lines(self, even_cover):

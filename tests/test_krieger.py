@@ -690,6 +690,18 @@ class TestRealizedSets:
                                 direct.add(s)
             assert realized_survivor_sets_bruteforce(g, bound) == direct, name
 
+    def test_bruteforce_refuses_bound_below_one(self, monkeypatch):
+        # a ray's period needs a letter; the bound is refused before the
+        # semigroup is built
+        import soficshift.semigroup as sm
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transition semigroup was built")
+        monkeypatch.setattr(sm, "transition_semigroup", refuse)
+        for bound in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                realized_survivor_sets_bruteforce(make_even(), bound)
+
 
 class TestPastPartition:
     def test_even_three_singleton_blocks(self, even_graph):
