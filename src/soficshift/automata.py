@@ -57,9 +57,10 @@ def make_right_resolving(g: LabeledGraph) -> LabeledGraph:
     Already right-resolving input is returned unchanged.  Otherwise
     the subset construction is applied: states are the nonempty vertex
     subsets reachable from the full vertex set under the forward
-    successor map, canonicalized as sorted vertex-index tuples, and
-    the result is trimmed to its essential part.  The presented sofic
-    shift is unchanged.
+    successor map, canonicalized as sorted vertex-index tuples and
+    named by them (``{0,2}``; joined vertex names could collide, as
+    names may hold commas), and the result is trimmed to its essential
+    part.  The presented sofic shift is unchanged.
 
     Raises
     ------
@@ -94,14 +95,10 @@ def make_right_resolving(g: LabeledGraph) -> LabeledGraph:
 
     index = {mask: i for i, mask in enumerate(order)}
 
-    def name(mask: int) -> str:
-        members = [g.vertex_names[v] for v in range(g.vertex_count)
-                   if mask >> v & 1]
-        return "{" + ",".join(members) + "}"
-
     det = LabeledGraph(
         g.alphabet,
-        [name(mask) for mask in order],
+        ["{" + ",".join(str(v) for v in range(g.vertex_count)
+                        if mask >> v & 1) + "}" for mask in order],
         [Edge(index[s], index[t], a) for s, t, a in edges],
     )
     return trim_essential(det)

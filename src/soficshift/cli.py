@@ -115,7 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="run every verification family and report")
     p.add_argument("file")
-    p.add_argument("--max-word-len", type=int, default=8)
+    p.add_argument("--max-word-len", type=int, default=8,
+                   help="longest word the word-indexed families check; "
+                        "nonnegative (default 8)")
     p.add_argument("--corrupt", choices=isocheck.CORRUPTION_KINDS,
                    help="damage the cover first (testing aid)")
     p.set_defaults(func=cmd_verify)
@@ -135,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("words", help="list the admissible words of length k")
     p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=int, required=True,
+                   help="the word length; nonnegative")
     p.set_defaults(func=cmd_words)
 
     return parser

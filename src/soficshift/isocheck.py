@@ -45,7 +45,7 @@ from typing import Callable
 from . import diagonal
 from .diagonal import ClopenSet
 from .errors import AmbiguousLabelError
-from .krieger import KriegerCover
+from .krieger import KriegerCover, _bits
 from .shiftcore import EPSILON, Edge, Word, words_of_length
 
 FAMILY_ORDER = (
@@ -133,7 +133,7 @@ def _word_str(cover: KriegerCover, word: Word) -> str:
 
 
 def _class_numbers(mask: int) -> list[int]:
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+    return [i + 1 for i in _bits(mask)]
 
 
 def _edge_str(cover: KriegerCover, e: Edge) -> str:
@@ -281,23 +281,19 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                             f"E{i + 1}: path source "
                             f"E{back[i] + 1}, prepend lands in {got}"))
 
-            # shifted_cylinder_classes: the classes the word can
-            # precede, by paths and by relation ranges
+            # shifted_cylinder_classes (the classes the word can
+            # precede) and labeled_path_ranges (its forward path ends)
+            # are by paths both the classes where back is defined
             rec.count("shifted_cylinder_classes", n)
-            if b_set != a_set:
-                rec.fail("shifted_cylinder_classes", lambda: (
-                    f"word {_word_str(cover, w)}: path classes "
-                    f"{_class_numbers(b_set)} != relation "
-                    f"classes {_class_numbers(a_set)}"))
-
-            # labeled_path_ranges: forward path ends, the classes where
-            # the backward map is defined, against the relation route
             rec.count("labeled_path_ranges", n)
             if b_set != a_set:
-                rec.fail("labeled_path_ranges", lambda: (
-                    f"word {_word_str(cover, w)}: forward ends "
-                    f"{_class_numbers(b_set)} != relation "
-                    f"classes {_class_numbers(a_set)}"))
+                for fam, what in (("shifted_cylinder_classes",
+                                   "path classes"),
+                                  ("labeled_path_ranges", "forward ends")):
+                    rec.fail(fam, lambda: (
+                        f"word {_word_str(cover, w)}: {what} "
+                        f"{_class_numbers(b_set)} != relation "
+                        f"classes {_class_numbers(a_set)}"))
 
             # path_concatenation: the source/end relation of the word
             # factors through its first letter.  The backward map is

@@ -226,7 +226,8 @@ def realized_survivor_sets(
     D alive while every track from V∖D dies without merging into one
     of them.  A move follows each track only when every vertex has at
     most one edge per letter, so ``g`` must be right-resolving as well
-    as essential.  ``sg`` is not read.
+    as essential.  The map is read from the family's prepend table, as
+    in ``build_cover``.  ``sg`` is not read.
 
     Raises
     ------
@@ -239,14 +240,11 @@ def realized_survivor_sets(
     if not g.is_right_resolving():
         raise ValueError("realized survivor sets require a right-resolving "
                          "presentation")
-    sets, pre = [], {}
-    for mask in _pair_graph(g)[0]:
-        c = _mask_to_set(mask)
-        sets.append(c)
-        for a in g.alphabet:
-            p = g.predecessors(a, mask)
-            if p:
-                pre[(a, c)] = _mask_to_set(p)
+    family = list(_pair_graph(g)[0])
+    table = _prepend_table(g, family)
+    sets = [_mask_to_set(mask) for mask in family]
+    pre = {(a, c): sets[row[k]] for k, c in enumerate(sets)
+           for a, row in zip(g.alphabet, table) if row[k] >= 0}
     return frozenset(sets), pre
 
 
@@ -286,6 +284,34 @@ def _moore_refinement(prepend: tuple[tuple[int, ...], ...],
         label, blocks, rounds = nxt + [-1], len(ids), rounds + 1
 
 
+def _class_tables(g: LabeledGraph, masks: Iterable[int]
+                  ) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+    # ``realized`` and ``prepend`` of KriegerCover for the sets masks.
+    # Sorted canonically (cardinality, then sorted indices), the Moore
+    # labels are the classes in canonical order; each class's first
+    # set, its canonical set, then moves to the front.
+    family = sorted(masks, key=lambda m: (m.bit_count(), list(_bits(m))))
+    table = _prepend_table(g, family)
+    labels = _moore_refinement(table, len(family))[0]
+    first: dict[int, int] = {}
+    for r, i in enumerate(labels):
+        first.setdefault(i, r)
+    order = sorted(range(len(family)), key=lambda r: first[labels[r]] != r)
+    slot = {r: j for j, r in enumerate(order)}
+    slot[-1] = -1
+    return ({family[r]: labels[r] for r in order},
+            tuple(tuple(slot[row[r]] for r in order) for row in table))
+
+
+def _class_blocks(realized: Mapping[int, int]
+                  ) -> list[frozenset[frozenset[int]]]:
+    # per class, in class order, its sets as frozensets
+    blocks: dict[int, list[frozenset[int]]] = {}
+    for mask, i in realized.items():
+        blocks.setdefault(i, []).append(_mask_to_set(mask))
+    return [frozenset(blocks[i]) for i in range(len(blocks))]
+
+
 def past_partition(
     g: LabeledGraph,
     realized: Collection[frozenset[int]],
@@ -296,23 +322,17 @@ def past_partition(
     Two survivor sets are equivalent when the same words have a path
     ending in each.  Decided by Moore refinement under the nonempty
     letter preimages, under which ``realized`` must be closed; ``sg``
-    is not read.  Blocks come in canonical order of their least set
-    (cardinality, then sorted indices).
+    is not read.  The classes are built as in ``build_cover``, so the
+    blocks come in canonical order of their least set (cardinality,
+    then sorted indices), as ``KriegerCover.class_sets`` does.
 
     Raises
     ------
     CoverInvariantError
         If a nonempty letter preimage falls outside ``realized``.
     """
-    family = list(realized)
-    masks = [sum(1 << v for v in c) for c in family]
-    labels = _moore_refinement(_prepend_table(g, masks), len(masks))[0]
-    groups: dict[int, list[frozenset[int]]] = {}
-    for c, k in zip(family, labels):
-        groups.setdefault(k, []).append(c)
-    blocks = [frozenset(members) for members in groups.values()]
-    blocks.sort(key=lambda b: min((len(c), sorted(c)) for c in b))
-    return blocks
+    masks = {sum(1 << v for v in c) for c in realized}
+    return _class_blocks(_class_tables(g, masks)[0])
 
 
 class CoverIndex:
@@ -434,11 +454,7 @@ class KriegerCover:
     @property
     def class_sets(self) -> tuple[frozenset[frozenset[int]], ...]:
         """Per class, its realized survivor sets."""
-        blocks: list[list[frozenset[int]]] = [[] for _ in
-                                              self.representatives]
-        for mask, i in self.realized.items():
-            blocks[i].append(_mask_to_set(mask))
-        return tuple(map(frozenset, blocks))
+        return tuple(_class_blocks(self.realized))
 
     @property
     def canonical_sets(self) -> tuple[frozenset[int], ...]:
@@ -582,20 +598,7 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
     """
     g = make_right_resolving(trim_essential(g))
     starts, states, step, good = _pair_graph(g)
-    # the family in canonical order (cardinality, then sorted indices)
-    # makes the labels the classes in canonical order; each class's
-    # first set, its canonical set, then moves to the front
-    family = sorted(starts, key=lambda m: (m.bit_count(), list(_bits(m))))
-    table = _prepend_table(g, family)
-    labels = _moore_refinement(table, len(family))[0]
-    first: dict[int, int] = {}
-    for r, i in enumerate(labels):
-        first.setdefault(i, r)
-    order = sorted(range(len(family)), key=lambda r: first[labels[r]] != r)
-    realized = {family[r]: labels[r] for r in order}
-    slot = {r: j for j, r in enumerate(order)}
-    slot[-1] = -1
-    prepend = tuple(tuple(slot[row[r]] for r in order) for row in table)
+    realized, prepend = _class_tables(g, starts)
 
     classes = list(realized.values())
     targets: dict[tuple[int, int], set[int | None]] = {}
@@ -612,8 +615,8 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
         if src is not None:
             edges.append(Edge(src, i, a))
 
-    reps = _class_representatives(g, realized, len(first), starts, states,
-                                  step, good)
+    reps = _class_representatives(g, realized, max(classes) + 1, starts,
+                                  states, step, good)
     cover = KriegerCover(g, reps, tuple(sorted(
         edges, key=lambda e: (e.src, e.dst, e.label))), realized, prepend)
     if not cover.is_left_resolving():
@@ -657,12 +660,13 @@ def edge_matrix(cover: KriegerCover) -> EdgeMatrix:
         On a zero row or column, which a valid cover never produces.
     """
     es = cover.edges
-    entries = tuple(tuple(1 if e.dst == f.src else 0 for f in es)
-                    for e in es)
-    # the row of e is zero iff no edge leaves e.dst, the column of f
-    # iff no edge enters f.src
     has_out = {e.src for e in es}
     has_in = {e.dst for e in es}
+    # the row of e depends only on e.dst, so one is built per class; it
+    # is zero iff no edge leaves e.dst, the column of f iff no edge
+    # enters f.src
+    rows = {i: tuple(1 if i == f.src else 0 for f in es) for i in has_in}
+    entries = tuple(rows[e.dst] for e in es)
     for e in es:
         if e.dst not in has_out:
             raise CoverInvariantError(f"zero row for edge {e}")
@@ -708,7 +712,8 @@ def cover_to_dot(cover: KriegerCover) -> str:
     for i in range(cover.class_count):
         lines.append(f'  "E{i + 1}";')
     for e in cover.edges:
-        label = cover.alphabet.tokens[e.label]
+        label = cover.alphabet.tokens[e.label].replace(
+            "\\", "\\\\").replace('"', '\\"')
         lines.append(f'  "E{e.src + 1}" -> "E{e.dst + 1}" '
                      f'[label="{label}"];')
     lines.append("}")

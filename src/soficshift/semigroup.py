@@ -101,8 +101,11 @@ class TransitionSemigroup:
     """Closure of the single-letter relations under right composition.
 
     Element 0 is the identity relation (the empty word).  Each element
-    records a shortest witness word; ``step[i][a]`` is the index of
-    element i composed with the letter a.
+    records a shortest witness word, found by one breadth-first search;
+    ``step[i][a]`` is the index of element i composed with the letter
+    a.  ``depth[i]`` is the witness's length, ``nonempty_depth[i]`` that
+    of a shortest nonempty word (None if none gives element i); they
+    differ only at the identity.
     """
 
     __slots__ = ("relations", "witnesses", "step", "generator", "depth",
@@ -147,24 +150,12 @@ class TransitionSemigroup:
         self.step = tuple(tuple(r) for r in step)
         self.generator = tuple(self.step[0][a] for a in letters)
         self.depth = tuple(len(w) for w in witnesses)
-
-        # minimal nonempty word length per element (None if unreachable
-        # by a nonempty word; only the identity can be affected)
-        nd: list[int | None] = [None] * len(relations)
-        frontier = []
-        for j in self.generator:
-            if nd[j] is None:
-                nd[j] = 1
-                frontier.append(j)
-        while frontier:
-            nxt_frontier = []
-            for i in frontier:
-                for j in self.step[i]:
-                    if nd[j] is None:
-                        nd[j] = nd[i] + 1
-                        nxt_frontier.append(j)
-            frontier = nxt_frontier
-        self.nonempty_depth = tuple(nd)
+        # a shortest word of an element other than the identity is
+        # nonempty; one of the identity is a shortest word of some j
+        # that one letter takes to the identity, then that letter
+        self.nonempty_depth = (
+            min((d + 1 for d, row in zip(self.depth, self.step) if 0 in row),
+                default=None),) + self.depth[1:]
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -211,14 +202,10 @@ def realized_survivor_sets_bruteforce(
         raise ValueError("ray bound must be at least 1")
     require_essential(g)
     sg = transition_semigroup(g)
-    n = g.vertex_count
     full = g.full_mask()
-    prefix_idxs = [0] + [i for i in range(len(sg.relations))
-                         if sg.nonempty_depth[i] is not None
-                         and sg.nonempty_depth[i] <= bound]
-    period_idxs = [i for i in range(len(sg.relations))
-                   if sg.nonempty_depth[i] is not None
-                   and sg.nonempty_depth[i] <= bound]
+    period_idxs = [i for i, d in enumerate(sg.nonempty_depth)
+                   if d is not None and d <= bound]
+    prefix_idxs = [0] + period_idxs
     out: set[int] = set()
     for pi in period_idxs:
         rel = sg.relations[pi]

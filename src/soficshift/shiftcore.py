@@ -337,8 +337,15 @@ def parse_presentation(text: str) -> LabeledGraph | SftSpec:
 def serialize_presentation(obj: LabeledGraph | SftSpec) -> str:
     """Render a presentation back into the line format.
 
-    Parsing the result reproduces the input object exactly.
+    Parsing the result reproduces the input object exactly; a token
+    or vertex name that could not be parsed back (empty, or holding
+    whitespace or ``#``) raises ``ValueError``.
     """
+    names = obj.vertex_names if isinstance(obj, LabeledGraph) else ()
+    for text in obj.alphabet.tokens + names:
+        if text.split() != [text] or "#" in text:
+            raise ValueError(f"cannot serialize {text!r}: empty, or holds "
+                             f"whitespace or '#'")
     lines = ["alphabet " + " ".join(obj.alphabet.tokens)]
     if isinstance(obj, LabeledGraph):
         for name in obj.vertex_names:
@@ -368,7 +375,8 @@ def sft_to_graph(spec: SftSpec) -> LabeledGraph:
     and an edge w -> w' labeled a exists exactly when w' is w shifted
     by a and the m-word w a contains no forbidden factor.  The result
     is trimmed to its essential part and is right-resolving by
-    construction.
+    construction.  Vertices are named by their words, rendered, or as
+    dot-joined symbol indices (``0.2``) over longer tokens.
 
     Raises
     ------
@@ -403,7 +411,9 @@ def sft_to_graph(spec: SftSpec) -> LabeledGraph:
             target = w[1:] + (a,)
             edges.append(Edge(index[w], index[target], a))
 
-    names = [alphabet.render(w) for w in vertices]
+    short = all(len(t) == 1 for t in alphabet.tokens)
+    names = [alphabet.render(w) if short else ".".join(map(str, w))
+             for w in vertices]
     return trim_essential(LabeledGraph(alphabet, names, edges))
 
 

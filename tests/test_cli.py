@@ -14,6 +14,20 @@ from test_krieger import EVEN_PUBLISHED_MATRIX, permutation_equivalent
 FULL2_TEXT = "alphabet 0 1\n"
 FULL3_TEXT = "alphabet 0 1 2\n"
 BROKEN_TEXT = "alphabet 0 1\nvertex a\nedge a a 0\nedge a c 1\n"
+# not right-resolving, with vertex names that joined by commas name two
+# different subset states alike ({a,b,c} from a + "b,c" and "a,b" + c)
+COMMA_NAMES_TEXT = """\
+alphabet 0 1
+vertex a
+vertex b,c
+vertex a,b
+vertex c
+edge a a 1
+edge a b,c 1
+edge b,c a,b 0
+edge a,b c 0
+edge c a,b 1
+"""
 
 
 @pytest.fixture
@@ -53,6 +67,24 @@ class TestCover:
         text = dot.read_text()
         assert text.startswith("digraph krieger_cover {")
         assert text.count("->") == 5
+
+    def test_dot_escapes_quote_and_backslash(self, write, capsys, tmp_path):
+        dot = tmp_path / "cover.dot"
+        text = 'alphabet " \\N\nvertex v\nedge v v "\nedge v v \\N\n'
+        assert main(["cover", write("odd.shift", text),
+                     "--dot", str(dot)]) == 0
+        capsys.readouterr()
+        assert dot.read_text().splitlines()[2:4] == [
+            '  "E1" -> "E1" [label="\\""];',
+            '  "E1" -> "E1" [label="\\\\N"];',
+        ]
+
+    def test_vertex_names_with_commas(self, write, capsys):
+        path = write("commas.shift", COMMA_NAMES_TEXT)
+        assert main(["cover", path]) == 0
+        assert capsys.readouterr().out.startswith("classes: 3\n")
+        assert main(["oracle", path]) == 0
+        assert capsys.readouterr().out == "3 sets via both methods\n"
 
     def test_malformed_file_exits_2(self, write, capsys):
         assert main(["cover", write("bad.shift", BROKEN_TEXT)]) == 2

@@ -519,6 +519,25 @@ class TestTransitionSemigroup:
                           if pre_word_mask(g, w, 1 << t) >> s & 1}
                 assert rel.pairs() == expect
 
+    def test_nonempty_depth_matches_word_enumeration(self):
+        # the relations of all words of length L, length by length,
+        # composed vertex by vertex, until a set of them repeats
+        for g in [g for _, g in corpus_graphs()] + random_corpus(20, 77):
+            g = make_right_resolving(g)
+            n = g.vertex_count
+            first: dict[tuple[int, ...], int] = {}
+            layer = {tuple(1 << s for s in range(n))}
+            layers = []
+            while layer not in layers:
+                layers.append(layer)
+                layer = {tuple(g.successors(a, row) for row in rel)
+                         for rel in layer for a in g.alphabet}
+                for rel in layer:
+                    first.setdefault(rel, len(layers))
+            sg = transition_semigroup(g)
+            assert list(sg.nonempty_depth) == [
+                first.get(rel.rows) for rel in sg.relations]
+
     def test_size_cap(self, even_graph):
         with pytest.raises(ResourceLimitError):
             transition_semigroup(even_graph, max_elements=3)

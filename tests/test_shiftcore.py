@@ -142,6 +142,14 @@ class TestParsing:
         assert parse_presentation(text) == obj
         assert serialize_presentation(parse_presentation(text)) == text
 
+    @pytest.mark.parametrize("bad", ["", "x y", "a#b", "z\n"])
+    def test_serialize_refuses_unparsable_text(self, bad):
+        with pytest.raises(ValueError, match="cannot serialize"):
+            serialize_presentation(LabeledGraph(Alphabet(["0"]), [bad],
+                                                [(0, 0, 0)]))
+        with pytest.raises(ValueError, match="cannot serialize"):
+            serialize_presentation(SftSpec(Alphabet(["0", bad]), ()))
+
 
 class TestGraphInvariants:
     def test_duplicate_triple_rejected(self):
@@ -187,6 +195,12 @@ class TestSftToGraph:
         assert len(g.vertex_names) == 2
         assert all(e.src == e.dst for e in g.edges)
         assert len(g.edges) == 2
+
+    def test_multichar_names_round_trip(self):
+        spec = parse_presentation("alphabet ab c\nforbid ab ab c\n")
+        g = sft_to_graph(spec)
+        assert g.vertex_names == ("0.0", "0.1", "1.0", "1.1")
+        assert parse_presentation(serialize_presentation(g)) == g
 
     def test_everything_forbidden(self):
         spec = parse_presentation("alphabet 0 1\nforbid 0\nforbid 1\n")

@@ -5,18 +5,19 @@
 
 For every workload seed the inputs of each workload are drawn from
 ``bench/corpus.py`` (of this checkout) and each distinct input is run
-through ``cover``, ``matrix``, ``ktheory`` and ``verify``, intact and
-with each ``--corrupt`` kind, and through ``oracle`` at its default
-``--bound``, the one command that reads the frozenset survivor sets
-of ``realized_survivor_sets``.  ``verify`` takes the workload's own
+through ``cover --dot``, ``matrix``, ``ktheory`` and ``verify``,
+intact and with each ``--corrupt`` kind, and through ``oracle`` at its
+default ``--bound``, the one command that reads the frozenset survivor
+sets of ``realized_survivor_sets``.  ``verify`` takes the workload's own
 ``--max-word-len`` on the verify workloads; on the ``cover_ktheory``
 inputs it takes 4, or 2 over more than three letters.  Each checkout
 runs every call in one child process that imports ``soficshift`` from
 that checkout's ``src``.  Then every ``demos/*.py`` of NEW_CHECKOUT is
 run as a script, from each checkout's own ``demos`` directory against
 that checkout's ``src``.  Standard output, standard error and the exit
-code of each call and each demo are compared; the differences are
-printed and the exit code is 1 if there are any.
+code of each call and each demo are compared, and so is the DOT file
+that each ``cover --dot`` call writes; the differences are printed and
+the exit code is 1 if there are any.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
 import corpus  # noqa: E402
 
 # Run in the child: read argv lists from stdin as JSON, write one
-# [exit code, stdout, stderr] per call.
+# [exit code, stdout, stderr] per call, plus the text of the file
+# written by --dot (None if there is none), which is then removed.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from soficshift import cli
 results = []
 for argv in json.load(sys.stdin):
@@ -50,6 +52,13 @@ for argv in json.load(sys.stdin):
         except Exception as exc:
             code = f"crash: {type(exc).__name__}: {exc}"
     results.append([code, out.getvalue(), err.getvalue()])
+    if "--dot" in argv:
+        dot = argv[argv.index("--dot") + 1]
+        results[-1].append(None)
+        if os.path.exists(dot):
+            with open(dot, encoding="utf-8") as handle:
+                results[-1][-1] = handle.read()
+            os.remove(dot)
 json.dump(results, sys.stdout)
 """
 
@@ -77,7 +86,8 @@ def calls(seeds, workloads, directory: str) -> list[list[str]]:
                 else:
                     length = "2"
                 verify = ["verify", path, "--max-word-len", length]
-                out += [["cover", path], ["matrix", path], ["ktheory", path],
+                out += [["cover", path, "--dot", path + ".dot"],
+                        ["matrix", path], ["ktheory", path],
                         ["oracle", path], verify]
                 out += [verify + ["--corrupt", kind]
                         for kind in corpus.CORRUPTION_KINDS]
@@ -109,12 +119,12 @@ def run_demo(checkout: str, name: str) -> list:
 
 
 def report(shown: str, a: list, b: list) -> bool:
-    """Print the parts of two [exit, stdout, stderr] results that
-    differ; True if any do."""
+    """Print the parts of two [exit, stdout, stderr(, DOT file)]
+    results that differ; True if any do."""
     if a == b:
         return False
     print(f"DIFFER {shown}")
-    for what, x, y in zip(("exit", "stdout", "stderr"), a, b):
+    for what, x, y in zip(("exit", "stdout", "stderr", "dot file"), a, b):
         if x != y:
             print(f"  {what}: {x!r}\n    -> {y!r}")
     return True
