@@ -21,33 +21,52 @@ SUBSET_STATE_CAP = 2 ** 11
 def trim_essential(g: LabeledGraph) -> LabeledGraph:
     """Delete stranded vertices until the graph is essential.
 
-    Iteratively removes vertices with no outgoing or no incoming edge;
-    the label language of bi-extendable paths is preserved.  Vertex
-    order and names of the survivors are kept.
+    Removes vertices with no outgoing or no incoming edge, and then
+    those that this strands, by a worklist over in- and out-degrees, so
+    each edge is looked at a bounded number of times; the label
+    language of bi-extendable paths is preserved.  Vertex order and
+    names of the survivors are kept.
 
     Raises
     ------
     EmptyShiftError
         If no vertex survives.
     """
-    alive = set(range(g.vertex_count))
-    edges = list(g.edges)
-    while True:
-        outs = {e.src for e in edges}
-        ins = {e.dst for e in edges}
-        dead = {v for v in alive if v not in outs or v not in ins}
-        if not dead:
-            break
-        alive -= dead
-        edges = [e for e in edges if e.src in alive and e.dst in alive]
-    if not alive:
+    n = g.vertex_count
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for e in g.edges:
+        outs[e.src].append(e.dst)
+        ins[e.dst].append(e.src)
+    out_degree = [len(ws) for ws in outs]
+    in_degree = [len(us) for us in ins]
+    dead = [not (out_degree[v] and in_degree[v]) for v in range(n)]
+    stack = [v for v in range(n) if dead[v]]
+    while stack:
+        v = stack.pop()
+        # drop v's edges from its live neighbours' degrees; a dead
+        # neighbour's degrees are never read again
+        for w in outs[v]:
+            if not dead[w]:
+                in_degree[w] -= 1
+                if not in_degree[w]:
+                    dead[w] = True
+                    stack.append(w)
+        for u in ins[v]:
+            if not dead[u]:
+                out_degree[u] -= 1
+                if not out_degree[u]:
+                    dead[u] = True
+                    stack.append(u)
+    order = [v for v in range(n) if not dead[v]]
+    if not order:
         raise EmptyShiftError("no bi-infinite path survives: empty shift")
-    order = sorted(alive)
     remap = {v: i for i, v in enumerate(order)}
     return LabeledGraph(
         g.alphabet,
         [g.vertex_names[v] for v in order],
-        [Edge(remap[e.src], remap[e.dst], e.label) for e in edges],
+        [Edge(remap[e.src], remap[e.dst], e.label) for e in g.edges
+         if not (dead[e.src] or dead[e.dst])],
     )
 
 

@@ -62,7 +62,7 @@ def cmd_verify(args) -> int:
 def cmd_ktheory(args) -> int:
     from . import ktheory
     cover = krieger.build_cover(_load_graph(args.file))
-    k0, k1 = ktheory.k_groups(krieger.edge_matrix(cover))
+    k0, k1 = ktheory.k_groups(cover)
     print(f"K0 = {k0.render()}")
     print(f"K1 = {k1.render()}")
     return 0

@@ -651,29 +651,43 @@ class EdgeMatrix:
         return [list(row) for row in self.entries]
 
 
+def entered_classes(edges: tuple[Edge, ...]) -> list[int]:
+    """The classes that some edge enters, in order of the first edge
+    into each: the states of the edge matrix's in-amalgamation, since
+    the row of an edge depends only on its range.
+
+    Raises
+    ------
+    CoverInvariantError
+        On a zero row or column of the edge matrix, which a valid cover
+        never produces: the row of e is zero iff no edge leaves e.dst,
+        the column of f iff no edge enters f.src.
+    """
+    has_out = {e.src for e in edges}
+    entered = list(dict.fromkeys(e.dst for e in edges))
+    for e in edges:
+        if e.dst not in has_out:
+            raise CoverInvariantError(f"zero row for edge {e}")
+    has_in = set(entered)
+    for f in edges:
+        if f.src not in has_in:
+            raise CoverInvariantError(f"zero column for edge {f}")
+    return entered
+
+
 def edge_matrix(cover: KriegerCover) -> EdgeMatrix:
     """B(e, f) = 1 iff the range of e is the source of f.
 
     Raises
     ------
     CoverInvariantError
-        On a zero row or column, which a valid cover never produces.
+        On a zero row or column (:func:`entered_classes`).
     """
     es = cover.edges
-    has_out = {e.src for e in es}
-    has_in = {e.dst for e in es}
-    # the row of e depends only on e.dst, so one is built per class; it
-    # is zero iff no edge leaves e.dst, the column of f iff no edge
-    # enters f.src
-    rows = {i: tuple(1 if i == f.src else 0 for f in es) for i in has_in}
-    entries = tuple(rows[e.dst] for e in es)
-    for e in es:
-        if e.dst not in has_out:
-            raise CoverInvariantError(f"zero row for edge {e}")
-    for f in es:
-        if f.src not in has_in:
-            raise CoverInvariantError(f"zero column for edge {f}")
-    return EdgeMatrix(entries, es)
+    # the row of e depends only on e.dst, so one is built per class
+    rows = {i: tuple(1 if i == f.src else 0 for f in es)
+            for i in entered_classes(es)}
+    return EdgeMatrix(tuple(rows[e.dst] for e in es), es)
 
 
 def unique_labeled_path(cover: KriegerCover, word: Word,

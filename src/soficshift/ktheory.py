@@ -1,7 +1,12 @@
 """Exact integer linear algebra: Smith normal form and the K-groups
-of the cover's edge algebra.  The K-groups are read off the Smith form
-of the class-sized matrix left by merging equal rows of the edge
-matrix (in-amalgamation), not of the edge matrix itself.
+of the cover's edge algebra.
+
+The K-groups are the cokernel and kernel of M = I - A^T, where A is the
+class matrix: the edge matrix in-amalgamated to the classes that some
+edge enters, which counts the cover's edges between two classes.
+:func:`k_groups` counts A straight from a cover's edges (or merges a
+given edge matrix), eliminates the unit entries of the sparse rows of
+M, and takes the Smith form of the small residue only.
 
 Matrices are plain lists of rows of Python integers, so entries never
 overflow; naive pivoting blows up intermediate entries even on small
@@ -11,8 +16,9 @@ inputs, which rules out fixed-width arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .krieger import EdgeMatrix
+from .krieger import EdgeMatrix, KriegerCover, entered_classes
 
 IntMatrix = list[list[int]]
 
@@ -241,16 +247,109 @@ def _in_amalgamate(rows: IntMatrix) -> IntMatrix:
             for row in groups]
 
 
-def k_groups(b: EdgeMatrix | IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+def _unit_elimination(rows: list[dict[int, int]]) -> tuple[int, IntMatrix]:
+    """Eliminate unit pivots from a sparse integer matrix, in place.
+
+    ``rows[i]`` maps the columns of row i's nonzero entries to their
+    values.  Each step picks an entry p = +-1 of least Markowitz cost
+    (row nonzeros - 1)(column nonzeros - 1), clears its column with
+    row operations and drops its row and column: a Schur complement
+    step, which keeps the invariant factors other than the unit p
+    (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  The
+    unit entries sit in a lazy heap keyed by their cost when pushed:
+    each is pushed when it is first seen and whenever an update sets
+    it, a popped entry that is no longer a unit is dropped, and one
+    whose cost has grown goes back with its new cost.
+
+    Returns the number of pivots and the residue: the dense matrix of
+    the rows and columns that still hold a nonzero entry.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i: int, units: list[int]) -> None:
+        others = len(rows[i]) - 1
+        for j in units:
+            heappush(heap, (others * (len(cols[j]) - 1), i, j))
+
+    for i, row in enumerate(rows):
+        push(i, [j for j, x in row.items() if x == 1 or x == -1])
+    pivots = 0
+    while heap:
+        cost, r, c = heappop(heap)
+        pivot_row = rows[r]
+        p = pivot_row.get(c)
+        if p != 1 and p != -1:
+            continue  # stale: the entry changed or its row was dropped
+        now = (len(pivot_row) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heappush(heap, (now, r, c))
+            continue
+        pivots += 1
+        del pivot_row[c]
+        for j in pivot_row:
+            cols[j].discard(r)
+        targets = cols.pop(c)
+        targets.discard(r)
+        for i in targets:
+            row = rows[i]
+            f = row.pop(c) * p  # row i -= (M[i][c] / p) row r, 1/p = p
+            units = []
+            for j, x in pivot_row.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                    if y == 1 or y == -1:
+                        units.append(j)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            push(i, units)
+        pivot_row.clear()
+    live = sorted(j for j, members in cols.items() if members)
+    return pivots, [[row.get(j, 0) for j in live] for row in rows if row]
+
+
+def _rank_and_factors(rows: list[dict[int, int]]
+                      ) -> tuple[int, tuple[int, ...]]:
+    """The rank and the invariant factors of at least 2 of a sparse
+    integer matrix (as :func:`_unit_elimination` takes it): the units
+    are eliminated, and only the residue goes to the Smith form."""
+    pivots, residue = _unit_elimination(rows)
+    if not residue:
+        return pivots, ()
+    _, d, _ = smith_normal_form(residue)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    return (pivots + sum(1 for x in diag if x),
+            tuple(x for x in diag if x >= 2))
+
+
+def k_groups(b: KriegerCover | EdgeMatrix | IntMatrix
+             ) -> tuple[AbelianGroup, AbelianGroup]:
     """K-theory of the Cuntz-Krieger algebra of a square 0/1 matrix B:
     the cokernel and kernel of I - B transposed.
 
-    Any square 0/1 matrix is accepted, zero rows and columns included.
+    Given a cover, B is its edge matrix, and the class matrix A is
+    counted from the cover's edges: A(c, d) is the number of edges
+    from c to d, over the classes that some edge enters.  Given an
+    edge matrix or any square 0/1 matrix, zero rows and columns
+    included, equal rows of B are merged (:func:`_in_amalgamate`),
+    which keeps both groups.  The unit entries of the sparse rows of
+    M = I - A^T are then eliminated, and the Smith form of the residue
+    supplies the other invariant factors (:func:`_rank_and_factors`).
     Convention: both groups act on column vectors, so K0 is
-    Z^n / (I - B^T) Z^n read off the Smith form's diagonal and K1 is
-    the free kernel, of rank the nullity.  Equal rows of B are merged
-    first (:func:`_in_amalgamate`), which keeps both groups, so on a
-    cover's edge matrix the Smith form runs on the class-sized matrix.
+    Z^n / M Z^n and K1 the free kernel, of rank the nullity.
+
+    Raises
+    ------
+    CoverInvariantError
+        On a cover whose edge matrix has a zero row or column.
+    ValueError
+        On a matrix that is not square or not 0/1.
 
     Examples
     --------
@@ -267,21 +366,43 @@ def k_groups(b: EdgeMatrix | IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
     [[1, 1, 1], [1, 0, 0], [0, 0, 1]]
     >>> [g.render() for g in k_groups(b)]
     ['Z', 'Z']
+
+    A cover is read from its edges.  In the chain shift (an a-loop
+    feeding a c-loop through one b-edge) class 2's only out-edge is its
+    c-loop, so M's column of class 2 is zero: A = [[1, 1], [0, 1]] and
+    M = [[0, 0], [-1, 0]], of rank 1.
+
+    >>> from soficshift import build_cover, parse_presentation
+    >>> cover = build_cover(parse_presentation(
+    ...     "alphabet a b c\\nvertex p\\nvertex q\\n"
+    ...     "edge p p a\\nedge p q b\\nedge q q c\\n"))
+    >>> [(e.src, e.dst) for e in cover.edges]
+    [(0, 0), (0, 1), (1, 1)]
+    >>> [g.render() for g in k_groups(cover)]
+    ['Z', 'Z']
     """
-    rows = b.as_lists() if isinstance(b, EdgeMatrix) else \
-        [list(map(int, row)) for row in b]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("edge matrix must be square")
-    if any(x not in (0, 1) for row in rows for x in row):
-        raise ValueError("edge matrix entries must be 0 or 1")
-    a = _in_amalgamate(rows)
-    n = len(a)
-    m = [[(1 if i == j else 0) - a[j][i] for j in range(n)]
-         for i in range(n)]
-    _, d, _ = smith_normal_form(m)
-    diag = [d[i][i] for i in range(n)]
-    rank = sum(1 for x in diag if x)
-    k0 = AbelianGroup(n - rank, tuple(x for x in diag if x >= 2))
-    k1 = AbelianGroup(n - rank)
-    return k0, k1
+    if isinstance(b, KriegerCover):
+        states = {c: i for i, c in enumerate(entered_classes(b.edges))}
+        n = len(states)
+        rows = [{i: 1} for i in range(n)]
+        for e in b.edges:
+            row, j = rows[states[e.dst]], states[e.src]
+            x = row.get(j, 0) - 1
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+    else:
+        dense = b.as_lists() if isinstance(b, EdgeMatrix) else \
+            [list(map(int, row)) for row in b]
+        if any(len(row) != len(dense) for row in dense):
+            raise ValueError("edge matrix must be square")
+        if any(x not in (0, 1) for row in dense for x in row):
+            raise ValueError("edge matrix entries must be 0 or 1")
+        a = _in_amalgamate(dense)
+        n = len(a)
+        rows = [{j: x for j in range(n)
+                 if (x := (1 if i == j else 0) - a[j][i])}
+                for i in range(n)]
+    rank, factors = _rank_and_factors(rows)
+    return AbelianGroup(n - rank, factors), AbelianGroup(n - rank)

@@ -13,11 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyShiftError, InputFormatError
+from .errors import EmptyShiftError, InputFormatError, ResourceLimitError
 
 Word = tuple[int, ...]
 
 EPSILON: Word = ()
+
+# Cap on the clean words of one length in ``sft_to_graph``.  The words
+# of the longest length become vertices, and a graph of n vertices
+# keeps a successor and a predecessor bitmask of up to n bits per
+# letter and vertex, about n * n / 8 bytes per letter (8 MB at this
+# cap).  The cover's pair graph already refuses the 4,096-vertex
+# higher-block graphs of one forbidden run of zeros (2 letters, length
+# 13; 4 letters, length 7), so only ``words`` reads graphs this large.
+# The test and benchmark inputs reach at most 81 clean words.
+CLEAN_WORD_CAP = 2 ** 13
 
 
 class Alphabet:
@@ -382,6 +392,9 @@ def sft_to_graph(spec: SftSpec) -> LabeledGraph:
     ------
     EmptyShiftError
         If nothing survives (the whole language is forbidden).
+    ResourceLimitError
+        If a length up to m-1 has more than ``CLEAN_WORD_CAP`` clean
+        words; each length is checked as it is listed.
     """
     if any(not w for w in spec.forbidden):
         raise ValueError("forbidden words must be nonempty")
@@ -394,10 +407,21 @@ def sft_to_graph(spec: SftSpec) -> LabeledGraph:
     def clean(word: tuple[int, ...]) -> bool:
         return not any(_contains_factor(word, f) for f in spec.forbidden)
 
-    vertices: list[tuple[int, ...]] = []
     prev: list[tuple[int, ...]] = [()]
-    for _ in range(m - 1):
-        prev = [w + (a,) for w in prev for a in letters if clean(w + (a,))]
+    for length in range(1, m):
+        level: list[tuple[int, ...]] = []
+        for w in prev:
+            for a in letters:
+                word = w + (a,)
+                if not clean(word):
+                    continue
+                if len(level) >= CLEAN_WORD_CAP:
+                    raise ResourceLimitError(
+                        f"forbidden-word compilation exceeds "
+                        f"{CLEAN_WORD_CAP} clean words of length {length} "
+                        f"(vertices are the clean words of length {m - 1})")
+                level.append(word)
+        prev = level
     vertices = sorted(prev)
     if not vertices:
         raise EmptyShiftError("every word is forbidden: empty shift")

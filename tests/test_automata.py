@@ -1,10 +1,53 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from soficshift import (Alphabet, EmptyShiftError, LabeledGraph,
                         ResourceLimitError, language_equal_upto,
                         make_right_resolving, trim_essential)
+from soficshift.shiftcore import Edge
 from conftest import make_even, make_golden, random_corpus
+
+
+def layered_trim(g):
+    """Slow reference for ``trim_essential``: remove every stranded
+    vertex, one layer per pass over all edges, until none is left."""
+    alive = set(range(g.vertex_count))
+    edges = list(g.edges)
+    while True:
+        outs = {e.src for e in edges}
+        ins = {e.dst for e in edges}
+        dead = {v for v in alive if v not in outs or v not in ins}
+        if not dead:
+            break
+        alive -= dead
+        edges = [e for e in edges if e.src in alive and e.dst in alive]
+    if not alive:
+        raise EmptyShiftError("no bi-infinite path survives: empty shift")
+    order = sorted(alive)
+    remap = {v: i for i, v in enumerate(order)}
+    return LabeledGraph(
+        g.alphabet,
+        [g.vertex_names[v] for v in order],
+        [Edge(remap[e.src], remap[e.dst], e.label) for e in edges],
+    )
+
+
+def chain_into_loop(n):
+    """A one-letter chain v0 -> ... -> v(n-1) whose last vertex loops,
+    fed by nothing: every vertex but the last is stranded, one layer at
+    a time from v0."""
+    return LabeledGraph(Alphabet(["0"]), [f"v{i}" for i in range(n)],
+                        [(i, i + 1, 0) for i in range(n - 1)]
+                        + [(n - 1, n - 1, 0)])
+
+
+def trim_or_empty(trim, g):
+    try:
+        return trim(g)
+    except EmptyShiftError as exc:
+        return str(exc)
 
 
 class TestTrim:
@@ -30,6 +73,26 @@ class TestTrim:
         for g in random_corpus(20, seed=101):
             once = trim_essential(g)
             assert trim_essential(once) == once
+
+    def test_matches_layered_reference_on_random_graphs(self):
+        # any edge set over up to 12 vertices, so most graphs strand
+        # vertices in several layers and some trim to nothing
+        rng = random.Random(104)
+        for _ in range(300):
+            n, k = rng.randint(1, 12), rng.randint(1, 3)
+            density = rng.uniform(0.02, 0.3)
+            g = LabeledGraph(Alphabet([str(a) for a in range(k)]),
+                             [f"v{i}" for i in range(n)],
+                             [(s, t, a) for s in range(n) for t in range(n)
+                              for a in range(k) if rng.random() < density])
+            assert trim_or_empty(trim_essential, g) == \
+                trim_or_empty(layered_trim, g)
+
+    def test_chain_matches_layered_reference(self):
+        g = chain_into_loop(300)
+        trimmed = trim_essential(g)
+        assert trimmed == layered_trim(g)
+        assert trimmed.vertex_names == ("v299",)
 
 
 class TestDeterminize:

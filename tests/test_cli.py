@@ -362,6 +362,18 @@ class TestResourceLimits:
             "pair states of 30 vertices"), proc.stderr
         assert proc.stdout == ""
 
+    def test_long_forbidden_word_refused_under_memory_limit(self, write):
+        # one forbidden word of length 16 over 4 letters asks for the
+        # 4**15 clean words of length 15; the cap stops at length 7
+        text = "alphabet 0 1 2 3\nforbid " + " ".join("0" * 16) + "\n"
+        proc = run_limited_cover(write("zeros16.shift", text),
+                                 800_000 * 1024)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "error: forbidden-word compilation exceeds 8192 clean words "
+            "of length 7 "), proc.stderr
+        assert proc.stdout == ""
+
     def test_pair_state_cap_exits_2(self, write, capsys, monkeypatch):
         import soficshift.krieger as kr
         monkeypatch.setattr(kr, "PAIR_STATE_CAP", 9)

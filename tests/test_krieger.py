@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from soficshift import (Alphabet, CoverInvariantError, EmptyShiftError,
                         LabeledGraph, Ray, ResourceLimitError, build_cover, cover_to_dot,
-                        edge_matrix, make_right_resolving, past_partition,
-                        realized_survivor_sets,
+                        edge_matrix, k_groups, make_right_resolving,
+                        past_partition, realized_survivor_sets,
                         realized_survivor_sets_bruteforce,
                         stabilization_level, survivor_set,
                         transition_semigroup, trim_essential,
@@ -982,11 +982,15 @@ class TestEdgeMatrixValidation:
                     want = reference_zero_line(edges)
                     bad = dataclasses.replace(cover, edges=edges)
                     if want is None:
-                        assert edge_matrix(bad).edges == edges, name
+                        b = edge_matrix(bad)
+                        assert b.edges == edges, name
+                        assert k_groups(bad) == k_groups(b), name
                         continue
-                    with pytest.raises(CoverInvariantError) as err:
-                        edge_matrix(bad)
-                    assert str(err.value) == want, name
+                    # the cover route of k_groups runs the same checks
+                    for route in (edge_matrix, k_groups):
+                        with pytest.raises(CoverInvariantError) as err:
+                            route(bad)
+                        assert str(err.value) == want, name
 
 
 class TestUniqueLabeledPath:

@@ -1,11 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficshift import (AbelianGroup, build_cover, determinant,
-                        edge_matrix, k_groups, smith_normal_form)
-from soficshift.ktheory import (_in_amalgamate, identity_matrix,
+from soficshift import (AbelianGroup, Alphabet, LabeledGraph, build_cover,
+                        determinant, edge_matrix, k_groups,
+                        smith_normal_form, trim_essential)
+from soficshift.ktheory import (_in_amalgamate, _rank_and_factors,
+                                _unit_elimination, identity_matrix,
                                 matrix_multiply)
 from conftest import make_full
 from test_krieger import EVEN_PUBLISHED_MATRIX, random_presentations
@@ -179,13 +182,16 @@ class TestKGroups:
 
 
 class TestAmalgamation:
-    def test_matches_edge_route_on_random_covers(self):
+    def test_matches_edge_route_on_random_covers(self, corpus_covers):
         # right-resolving over 2, 3 and 10 letters, and 2-letter inputs
-        # that are not right-resolving
-        for seed in (401, 402):
-            for name, g in random_presentations(seed):
-                b = edge_matrix(build_cover(g)).as_lists()
-                assert k_groups(b) == edge_route_k_groups(b), name
+        # that are not right-resolving; the cover route counts the
+        # class matrix from the edges, the matrix route merges rows
+        covers = [(name, build_cover(g)) for seed in (401, 402)
+                  for name, g in random_presentations(seed)]
+        for name, cover in covers + corpus_covers:
+            b = edge_matrix(cover)
+            want = edge_route_k_groups(b.as_lists())
+            assert k_groups(cover) == k_groups(b) == want, name
 
     def test_matches_edge_route_with_repeated_and_zero_rows(self):
         rng = random.Random(504)
@@ -207,3 +213,115 @@ class TestAmalgamation:
             assert sorted(order) == list(range(cover.class_count))
             a = class_adjacency(cover)
             assert merged == [[a[c][d] for d in order] for c in order]
+
+
+def dense_invariants(m):
+    """Rank and invariant factors of at least 2 by the dense Smith
+    form."""
+    _, d, _ = smith_normal_form(m)
+    diag = [d[i][i] for i in range(min(len(m), len(m[0])))]
+    return sum(1 for x in diag if x), tuple(x for x in diag if x >= 2)
+
+
+# sparse rectangular matrices: mostly zeros, units and small non-units,
+# with whole rows and columns zeroed
+SPARSE_MATRICES = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(st.sampled_from(
+            [0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6, -4]),
+            min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0]),
+        st.sets(st.integers(0, shape[0] - 1)),
+        st.sets(st.integers(0, shape[1] - 1))))
+
+
+class TestUnitElimination:
+    @settings(max_examples=100, deadline=None)
+    @given(SPARSE_MATRICES)
+    def test_matches_dense_smith_form(self, drawn):
+        m, zero_rows, zero_cols = drawn
+        m = [[0 if i in zero_rows or j in zero_cols else x
+              for j, x in enumerate(row)] for i, row in enumerate(m)]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        assert _rank_and_factors(rows) == dense_invariants(m)
+
+    def test_residue_keeps_only_live_rows_and_columns(self):
+        # the units eliminate to the 1 x 1 residue [2]; the zero row and
+        # the zero column 1 are dropped
+        rows = [{0: 1, 2: 1}, {0: 1, 2: 3}, {}]
+        assert _unit_elimination(rows) == (1, [[2]])
+
+    def test_edgeless_class_is_not_a_state(self, even_cover):
+        # a class no edge enters is no state of the in-amalgamation; a
+        # state for it would add a Z to both groups
+        extra = dataclasses.replace(
+            even_cover, representatives=even_cover.representatives
+            + even_cover.representatives[:1])
+        assert extra.class_count == even_cover.class_count + 1
+        assert k_groups(extra) == k_groups(edge_matrix(extra)) \
+            == k_groups(even_cover)
+
+
+def rank_mod(m, p):
+    """Rank over GF(p) by dense Gauss-Jordan elimination."""
+    a = [[x % p for x in row] for row in m]
+    rank = 0
+    for c in range(len(a[0])):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def rank_over_q(m):
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in m]
+    rank, prev = 0, 1
+    for c in range(len(a[0])):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        p = a[rank][c]
+        for i in range(rank + 1, len(a)):
+            a[i] = [(p * x - a[i][c] * y) // prev
+                    for x, y in zip(a[i], a[rank])]
+        prev = p
+        rank += 1
+    return rank
+
+
+def random_right_resolving(seed, n, k=2):
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(n), a) for v in range(n) for a in range(k)
+             if rng.random() < 0.8]
+    return trim_essential(LabeledGraph(
+        Alphabet([str(a) for a in range(k)]), [f"v{i}" for i in range(n)],
+        edges))
+
+
+class TestModularRanks:
+    def test_ranks_mod_p_match_invariant_factors(self):
+        # 96 classes with K0 = Z + Z/2 + Z/30: for each prime p, rank_Q
+        # - rank_p counts the invariant factors divisible by p, and
+        # 1,000,003 divides none
+        cover = build_cover(random_right_resolving(15, 26))
+        n = cover.class_count
+        a = class_adjacency(cover)
+        m = [[(1 if i == j else 0) - a[j][i] for j in range(n)]
+             for i in range(n)]
+        k0, k1 = k_groups(cover)
+        assert (n, k0.render()) == (96, "Z ⊕ Z/2 ⊕ Z/30")
+        rank = rank_over_q(m)
+        assert k0.free_rank == k1.free_rank == n - rank
+        for p in (2, 3, 5, 1_000_003):
+            divisible = sum(1 for d in k0.invariant_factors if d % p == 0)
+            assert rank - rank_mod(m, p) == divisible, p

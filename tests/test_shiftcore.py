@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soficshift import (Alphabet, Edge, EmptyShiftError,
-                        InputFormatError, LabeledGraph, Ray, SftSpec,
+                        InputFormatError, LabeledGraph, Ray,
+                        ResourceLimitError, SftSpec,
                         is_admissible, parse_presentation, ray_admissible,
                         serialize_presentation, sft_to_graph,
                         words_of_length)
@@ -205,6 +206,18 @@ class TestSftToGraph:
     def test_everything_forbidden(self):
         spec = parse_presentation("alphabet 0 1\nforbid 0\nforbid 1\n")
         with pytest.raises(EmptyShiftError):
+            sft_to_graph(spec)
+
+    def test_clean_word_cap(self, monkeypatch):
+        # forbidding 0 0 0 keeps all 4 words of length 2 as vertices
+        import soficshift.shiftcore as sc
+        spec = parse_presentation("alphabet 0 1\nforbid 0 0 0\n")
+        monkeypatch.setattr(sc, "CLEAN_WORD_CAP", 4)
+        assert sft_to_graph(spec).vertex_count == 4
+        monkeypatch.setattr(sc, "CLEAN_WORD_CAP", 3)
+        with pytest.raises(ResourceLimitError,
+                           match=r"^forbidden-word compilation exceeds 3 "
+                                 r"clean words of length 2 "):
             sft_to_graph(spec)
 
     def test_output_essential_and_right_resolving(self):
