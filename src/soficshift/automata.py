@@ -25,7 +25,8 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
     those that this strands, by a worklist over in- and out-degrees, so
     each edge is looked at a bounded number of times; the label
     language of bi-extendable paths is preserved.  Vertex order and
-    names of the survivors are kept.
+    names of the survivors are kept, and an essential graph is
+    returned as it is.
 
     Raises
     ------
@@ -42,6 +43,8 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
     in_degree = [len(us) for us in ins]
     dead = [not (out_degree[v] and in_degree[v]) for v in range(n)]
     stack = [v for v in range(n) if dead[v]]
+    if n and not stack:
+        return g  # nothing is stranded; a LabeledGraph is immutable
     while stack:
         v = stack.pop()
         # drop v's edges from its live neighbours' degrees; a dead

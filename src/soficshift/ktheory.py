@@ -4,9 +4,10 @@ of the cover's edge algebra.
 The K-groups are the cokernel and kernel of M = I - A^T, where A is the
 class matrix: the edge matrix in-amalgamated to the classes that some
 edge enters, which counts the cover's edges between two classes.
-:func:`k_groups` counts A straight from a cover's edges (or merges a
-given edge matrix), eliminates the unit entries of the sparse rows of
-M, and takes the Smith form of the small residue only.
+:func:`k_groups` counts A from the edges of a cover or of an edge
+matrix, takes a plain 0/1 list matrix B as I - B^T, eliminates the
+unit entries of the sparse rows of M, and takes the Smith form of the
+small residue only.
 
 Matrices are plain lists of rows of Python integers, so entries never
 overflow; naive pivoting blows up intermediate entries even on small
@@ -91,6 +92,8 @@ def smith_normal_form(
     the divisibility chain directly.
     """
     a = [list(map(int, row)) for row in matrix]
+    if a != [list(row) for row in matrix]:
+        raise ValueError("matrix entries must be integers")
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
@@ -226,27 +229,6 @@ class AbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def _in_amalgamate(rows: IntMatrix) -> IntMatrix:
-    """Merge every group of equal rows of a square matrix into one
-    state, in order of first appearance: the merged state keeps the
-    shared row, with the columns of each group summed.
-
-    Two equal rows of B are two equal columns of I - B^T, and
-    subtracting one from the other leaves e_i - e_j, so the merge keeps
-    the cokernel and the nullity of I - B^T for any square integer
-    matrix (in-amalgamation; Lind & Marcus, *Symbolic Dynamics and
-    Coding*, 2.4 and 7.4).  Rows of a cover's edge matrix are equal
-    exactly when their edges share a range, so it yields the class
-    adjacency matrix counted with multiplicity.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(tuple(row), []).append(i)
-    members = list(groups.values())
-    return [[sum(row[j] for j in cols) for cols in members]
-            for row in groups]
-
-
 def _unit_elimination(rows: list[dict[int, int]]) -> tuple[int, IntMatrix]:
     """Eliminate unit pivots from a sparse integer matrix, in place.
 
@@ -333,21 +315,25 @@ def k_groups(b: KriegerCover | EdgeMatrix | IntMatrix
     """K-theory of the Cuntz-Krieger algebra of a square 0/1 matrix B:
     the cokernel and kernel of I - B transposed.
 
-    Given a cover, B is its edge matrix, and the class matrix A is
-    counted from the cover's edges: A(c, d) is the number of edges
-    from c to d, over the classes that some edge enters.  Given an
-    edge matrix or any square 0/1 matrix, zero rows and columns
-    included, equal rows of B are merged (:func:`_in_amalgamate`),
-    which keeps both groups.  The unit entries of the sparse rows of
-    M = I - A^T are then eliminated, and the Smith form of the residue
-    supplies the other invariant factors (:func:`_rank_and_factors`).
+    A cover or an edge matrix is read by its edges: B(e, f) is
+    [e.dst == f.src], so the edges into one class have equal rows, and
+    merging them in-amalgamates B to the class matrix A, A(c, d) = the
+    number of edges from c to d over the classes that some edge enters.
+    Two equal rows of B are two equal columns of I - B^T, so the merge
+    keeps both groups (Lind & Marcus, *Symbolic Dynamics and Coding*,
+    2.4 and 7.4), and M = I - A^T is counted from the edges.  A list
+    matrix B, zero rows and columns included, is taken as M = I - B^T
+    with no merging.  The unit entries of the sparse rows of M are
+    eliminated, and the Smith form of the residue supplies the other
+    invariant factors (:func:`_rank_and_factors`).
     Convention: both groups act on column vectors, so K0 is
     Z^n / M Z^n and K1 the free kernel, of rank the nullity.
 
     Raises
     ------
     CoverInvariantError
-        On a cover whose edge matrix has a zero row or column.
+        On a cover or edge matrix whose edge matrix has a zero row or
+        column.
     ValueError
         On a matrix that is not square or not 0/1.
 
@@ -358,12 +344,11 @@ def k_groups(b: KriegerCover | EdgeMatrix | IntMatrix
     ('0', '0')
 
     The even shift's edge matrix: edges 1 and 4 end at one class, and
-    so do edges 3 and 5, so five edges amalgamate to three classes.
+    so do edges 3 and 5, which is why its groups are the class
+    matrix's [[1, 1, 1], [1, 0, 0], [0, 0, 1]].
 
     >>> b = [[1, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
     ...      [1, 1, 1, 0, 0], [0, 0, 0, 0, 1]]
-    >>> _in_amalgamate(b)
-    [[1, 1, 1], [1, 0, 0], [0, 0, 1]]
     >>> [g.render() for g in k_groups(b)]
     ['Z', 'Z']
 
@@ -381,28 +366,26 @@ def k_groups(b: KriegerCover | EdgeMatrix | IntMatrix
     >>> [g.render() for g in k_groups(cover)]
     ['Z', 'Z']
     """
-    if isinstance(b, KriegerCover):
+    if isinstance(b, (KriegerCover, EdgeMatrix)):
         states = {c: i for i, c in enumerate(entered_classes(b.edges))}
         n = len(states)
-        rows = [{i: 1} for i in range(n)]
-        for e in b.edges:
-            row, j = rows[states[e.dst]], states[e.src]
-            x = row.get(j, 0) - 1
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+        pairs = [(states[e.src], states[e.dst]) for e in b.edges]
     else:
-        dense = b.as_lists() if isinstance(b, EdgeMatrix) else \
-            [list(map(int, row)) for row in b]
-        if any(len(row) != len(dense) for row in dense):
+        n = len(b)
+        if any(len(row) != n for row in b):
             raise ValueError("edge matrix must be square")
-        if any(x not in (0, 1) for row in dense for x in row):
+        if any(x != 0 and x != 1 for row in b for x in row):
             raise ValueError("edge matrix entries must be 0 or 1")
-        a = _in_amalgamate(dense)
-        n = len(a)
-        rows = [{j: x for j in range(n)
-                 if (x := (1 if i == j else 0) - a[j][i])}
-                for i in range(n)]
+        pairs = [(i, j) for i, row in enumerate(b)
+                for j, x in enumerate(row) if x]
+    # M = I - X^T for X = A or B: each pair adds 1 to X(i, j)
+    rows = [{i: 1} for i in range(n)]
+    for i, j in pairs:
+        row = rows[j]
+        x = row.get(i, 0) - 1
+        if x:
+            row[i] = x
+        else:
+            del row[i]
     rank, factors = _rank_and_factors(rows)
     return AbelianGroup(n - rank, factors), AbelianGroup(n - rank)

@@ -806,6 +806,10 @@ class TestBuildCover:
         assert edges == [(1, 1, "1"), (1, 2, "0"), (1, 3, "1"),
                          (2, 1, "0"), (3, 3, "0")]
 
+    def test_essential_right_resolving_graph_kept(self, even_graph):
+        # neither trimming nor determinizing rebuilds the graph
+        assert build_cover(even_graph).graph is even_graph
+
     def test_even_class_membership(self, even_cover):
         assert even_cover.class_of_ray(Ray((1,), (0,))) == 0
         assert even_cover.class_of_ray(Ray((0, 1), (0,))) == 1

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from soficshift import (AbelianGroup, Alphabet, LabeledGraph, build_cover,
                         determinant, edge_matrix, k_groups,
                         smith_normal_form, trim_essential)
-from soficshift.ktheory import (_in_amalgamate, _rank_and_factors,
-                                _unit_elimination, identity_matrix,
-                                matrix_multiply)
+from soficshift.ktheory import (_rank_and_factors, _unit_elimination,
+                                identity_matrix, matrix_multiply)
 from conftest import make_full
 from test_krieger import EVEN_PUBLISHED_MATRIX, random_presentations
 
@@ -25,6 +24,20 @@ def edge_route_k_groups(b):
     rank = sum(1 for x in diag if x)
     return (AbelianGroup(n - rank, tuple(x for x in diag if x >= 2)),
             AbelianGroup(n - rank))
+
+
+def in_amalgamate(rows):
+    """Reference in-amalgamation: merge every group of equal rows of a
+    square matrix into one state, in order of first appearance; the
+    merged state keeps the shared row, with the columns of each group
+    summed.  Rows of a cover's edge matrix are equal exactly when their
+    edges share a range, so this yields the class matrix."""
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(tuple(row), []).append(i)
+    members = list(groups.values())
+    return [[sum(row[j] for j in cols) for cols in members]
+            for row in groups]
 
 
 def class_adjacency(cover):
@@ -100,6 +113,11 @@ class TestSmithNormalForm:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
+
+    def test_non_integer_entries_rejected(self):
+        # int() would truncate these to diag(1, 2)
+        with pytest.raises(ValueError, match="integers"):
+            smith_normal_form([[1.5, 0], [0, 2.9]])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
@@ -180,18 +198,29 @@ class TestKGroups:
         with pytest.raises(ValueError):
             k_groups([[2, 0], [0, 1]])
 
+    def test_float_entries_rejected(self):
+        # int() would truncate 1.7 to 1 and return (Z^2, Z^2)
+        with pytest.raises(ValueError, match="0 or 1"):
+            k_groups([[1.7, 0], [0, 1]])
+
+    def test_string_entries_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            k_groups([["1", "0"], ["0", "1"]])
+
 
 class TestAmalgamation:
     def test_matches_edge_route_on_random_covers(self, corpus_covers):
         # right-resolving over 2, 3 and 10 letters, and 2-letter inputs
-        # that are not right-resolving; the cover route counts the
-        # class matrix from the edges, the matrix route merges rows
+        # that are not right-resolving; a cover and its edge matrix are
+        # read by their edges as the class matrix, a list matrix by the
+        # unit elimination of the full I - B^T
         covers = [(name, build_cover(g)) for seed in (401, 402)
                   for name, g in random_presentations(seed)]
         for name, cover in covers + corpus_covers:
             b = edge_matrix(cover)
             want = edge_route_k_groups(b.as_lists())
-            assert k_groups(cover) == k_groups(b) == want, name
+            assert k_groups(cover) == k_groups(b) \
+                == k_groups(b.as_lists()) == want, name
 
     def test_matches_edge_route_with_repeated_and_zero_rows(self):
         rng = random.Random(504)
@@ -207,7 +236,7 @@ class TestAmalgamation:
         covers = [build_cover(g) for _, g in random_presentations(403)]
         covers += [cover for _, cover in corpus_covers]
         for cover in covers:
-            merged = _in_amalgamate(edge_matrix(cover).as_lists())
+            merged = in_amalgamate(edge_matrix(cover).as_lists())
             # merged states follow the first edge into each class
             order = list(dict.fromkeys(e.dst for e in cover.edges))
             assert sorted(order) == list(range(cover.class_count))
