@@ -29,6 +29,9 @@ def _load_graph(path: str) -> LabeledGraph:
 
 def cmd_cover(args) -> int:
     cover = krieger.build_cover(_load_graph(args.file))
+    if args.dot:  # written first, so that a failed write prints nothing
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(krieger.cover_to_dot(cover))
     print(f"classes: {cover.class_count}")
     for i, rep in enumerate(cover.representatives):
         print(f"E{i + 1}: rep = {rep.render(cover.alphabet)}")
@@ -36,9 +39,6 @@ def cmd_cover(args) -> int:
     for e in cover.edges:
         label = cover.alphabet.tokens[e.label]
         print(f"E{e.src + 1} --{label}--> E{e.dst + 1}")
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(krieger.cover_to_dot(cover))
     return 0
 
 

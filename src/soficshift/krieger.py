@@ -6,7 +6,10 @@ The central objects:
 * the survivor set I(x) of a ray x, the vertices of a right-resolving
   essential presentation that emit x;
 * the pair graph of vertex sets, from which ``build_cover`` reads the
-  realized survivor sets and the class representatives;
+  realized survivor sets and the class representatives: the short-ray
+  representatives on its candidate preimage table (the candidate
+  pre_a D per candidate D and letter a, by index), the others by
+  walks of its moves;
 * the past-equivalence partition of the realized survivor sets, by
   Moore refinement, whose blocks are the left Krieger cover's vertices;
 * the cover's edge matrix B, indexed by cover edges in canonical
@@ -124,13 +127,16 @@ def survivor_set(g: LabeledGraph, ray: Ray) -> frozenset[int]:
 
 
 def _pair_graph(g: LabeledGraph) -> tuple[dict[int, int], list[int], array,
-                                            bytearray]:
+                                            bytearray, array]:
     # States (P, Q) of disjoint vertex sets, as P << n | Q.  The move
     # (P, Q) -a-> (δ_a P, δ_a Q), step[i * k + a] (-1 if barred), needs
     # every track from P to survive a and none from Q to merge into one.
     # A state is good when it reaches a (P', ∅) whose P' can move
     # forever.  The first states are (D, V∖D) for the candidates D (V
     # closed under nonempty pre_a), and D is realized iff that is good.
+    # The candidate preimage table pre[i * k + a] is the index of the
+    # candidate pre_a D for the candidate D at index i, or -1 if that is
+    # empty; candidate 0 is V.
     n, full, letters = g.vertex_count, g.full_mask(), list(g.alphabet)
     states: list[int] = []
     index: dict[int, int] = {}
@@ -148,11 +154,11 @@ def _pair_graph(g: LabeledGraph) -> tuple[dict[int, int], list[int], array,
         return j
 
     state(full << n)
+    pre = array("q")
     for s in states:  # the candidates; both loops read states as it grows
         for a in letters:
             d = g.predecessors(a, s >> n)
-            if d:
-                state(d << n | full ^ d)
+            pre.append(state(d << n | full ^ d) if d else -1)
     candidates = len(states)
     doms = [g.predecessors(a, full) for a in letters]
     step = array("q")
@@ -202,7 +208,32 @@ def _pair_graph(g: LabeledGraph) -> tuple[dict[int, int], list[int], array,
                 good[i] = 1
                 stack.append(i)
     return ({states[i] >> n: i for i in range(candidates) if good[i]},
-            states, step, good)
+            states, step, good, pre)
+
+
+def _pre_walk(pre: array, k: int, word: Word, i: int) -> int:
+    # the index of the candidate pre_word D for the candidate D at index
+    # i of the preimage table (-1: empty)
+    for a in reversed(word):
+        if i < 0:
+            return i
+        i = pre[i * k + a]
+    return i
+
+
+def _pre_fixpoint(pre: array, k: int, period: Word) -> int:
+    # _period_fixpoint by candidate index, from candidate 0 (V); the
+    # sets only shrink, so once one is empty (-1) so is the fixpoint
+    backward, cur = period[::-1], 0
+    while True:
+        nxt = cur
+        for a in backward:
+            nxt = pre[nxt * k + a]
+            if nxt < 0:
+                return nxt
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def realized_survivor_sets(
@@ -515,41 +546,52 @@ class KriegerCover:
             edges, key=lambda e: (e.src, e.dst, e.label))))
 
 
-def _short_rays(letters: list[int]) -> Iterator[tuple[Word, Word]]:
-    # (preperiod, period) pairs ordered by total length, then preperiod
-    # length, then lexicographically, up to _REPRESENTATIVE_SEARCH_CAP
+def _short_rays(pre: array, k: int) -> Iterator[tuple[Word, Word, int]]:
+    # (preperiod, period, the period's fixpoint index) ordered by total
+    # length, then preperiod length, then lexicographically, up to
+    # _REPRESENTATIVE_SEARCH_CAP.  Of the periods of one length with one
+    # fixpoint only the least is taken: the others add no survivor set.
+    letters = range(k)
+    firsts: list[list[tuple[int, Word]]] = [[]]
     for total in range(1, _REPRESENTATIVE_SEARCH_CAP + 1):
-        for lu in range(total):
+        least: dict[int, Word] = {}
+        for v in itertools.product(letters, repeat=total):
+            fix = _pre_fixpoint(pre, k, v)
+            if fix not in least:
+                least[fix] = v
+                yield (), v, fix
+        firsts.append(list(least.items()))
+        for lu in range(1, total):
             for u in itertools.product(letters, repeat=lu):
-                for v in itertools.product(letters, repeat=total - lu):
-                    yield u, v
+                for fix, v in firsts[total - lu]:
+                    yield u, v, fix
 
 
 def _class_representatives(g: LabeledGraph, realized: Mapping[int, int],
                            count: int, starts: dict[int, int],
-                           states: list[int], step: array,
-                           good: bytearray) -> tuple[Ray, ...]:
+                           states: list[int], step: array, good: bytearray,
+                           pre: array) -> tuple[Ray, ...]:
     # Per class of ``realized`` (whose first ``count`` sets are the
     # canonical ones), the first short ray in the order of _short_rays
-    # whose survivor set lies in it.  Otherwise, from the state
-    # (D, V∖D) of its canonical set D, the breadth-first least word to
-    # a good (P', ∅), then the least letter that keeps P' good, until a
-    # set repeats.
+    # whose survivor set lies in it, found on the candidate preimage
+    # table.  Otherwise, from the state (D, V∖D) of its canonical set D,
+    # the breadth-first least word to a good (P', ∅), then the least
+    # letter that keeps P' good, until a set repeats.
     letters = list(g.alphabet)
-    full, k = g.full_mask(), len(letters)
+    n, full, k = g.vertex_count, g.full_mask(), len(letters)
     reps: list[Ray | None] = [None] * count
     missing = count
-    fixpoints: dict[Word, int] = {}
-    for u, v in _short_rays(letters):
-        if not missing:
-            break
-        fix = fixpoints.get(v)
-        if fix is None:
-            fix = fixpoints[v] = _period_fixpoint(g, v)
-        b = realized.get(_pull_back(g, u, fix))
+    # the class of each candidate, None if it is not realized; the
+    # trailing None is the class of index -1, the empty set
+    cls = [realized.get(states[i] >> n) for i in range(len(pre) // k)]
+    cls.append(None)
+    for u, v, fix in _short_rays(pre, k):
+        b = cls[_pre_walk(pre, k, u, fix)]
         if b is not None and reps[b] is None:
             reps[b] = Ray(u, v)
             missing -= 1
+            if not missing:
+                break
 
     for b, canonical in enumerate(itertools.islice(realized, count)):
         if reps[b] is not None:
@@ -597,7 +639,7 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
         implementation and indicates a bug.
     """
     g = make_right_resolving(trim_essential(g))
-    starts, states, step, good = _pair_graph(g)
+    starts, states, step, good, pre = _pair_graph(g)
     realized, prepend = _class_tables(g, starts)
 
     classes = list(realized.values())
@@ -616,7 +658,7 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
             edges.append(Edge(src, i, a))
 
     reps = _class_representatives(g, realized, max(classes) + 1, starts,
-                                  states, step, good)
+                                  states, step, good, pre)
     cover = KriegerCover(g, reps, tuple(sorted(
         edges, key=lambda e: (e.src, e.dst, e.label))), realized, prepend)
     if not cover.is_left_resolving():

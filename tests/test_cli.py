@@ -99,7 +99,9 @@ class TestCover:
         dot = tmp_path / "missing" / "cover.dot"
         assert main(["cover", write("even.shift", EVEN_TEXT),
                      "--dot", str(dot)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
         assert not dot.exists()
 
     def test_byte_deterministic(self, write, capsys):

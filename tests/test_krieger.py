@@ -100,18 +100,22 @@ def semigroup_realized_sets(g):
         for d, live in zip(doms, alive_elements(sg, doms)) if live and d)
 
 
-def short_ray_representative(g, block, cap):
-    """Slow reference for the first pass of the representatives: the
-    first ray in (total length, preperiod length, lexicographic) order
-    up to ``cap`` whose survivor set lies in the block, else None."""
-    letters = list(g.alphabet)
+def short_rays(letters, cap):
+    """The rays u v^∞ in (total length, preperiod length,
+    lexicographic) order up to total length ``cap``."""
     for total in range(1, cap + 1):
         for lu in range(total):
             for u in itertools.product(letters, repeat=lu):
                 for v in itertools.product(letters, repeat=total - lu):
-                    if survivor_set(g, Ray(u, v)) in block:
-                        return Ray(u, v)
-    return None
+                    yield Ray(u, v)
+
+
+def short_ray_representative(g, block, cap):
+    """Slow reference for the first pass of the representatives: the
+    first ray of ``short_rays`` up to ``cap`` whose survivor set lies
+    in the block, else None."""
+    return next((ray for ray in short_rays(list(g.alphabet), cap)
+                 if survivor_set(g, ray) in block), None)
 
 
 def track_representative(g, block):
@@ -317,9 +321,9 @@ def slow_class_representatives(g, blocks, starts, states, step, good):
     full, k = g.full_mask(), len(letters)
     reps = []
     for block in blocks:
-        rep = next((Ray(u, v) for u, v in kr._short_rays(letters)
-                    if mask_set(kr._pull_back(g, u, kr._period_fixpoint(
-                        g, v))) in block), None)
+        rays = short_rays(letters, kr._REPRESENTATIVE_SEARCH_CAP)
+        rep = next((ray for ray in rays
+                    if mask_set(kr._survivor_mask(g, ray)) in block), None)
         if rep is None:
             cur = starts[set_mask(min(block, key=set_key))]
             words, queue = {cur: ()}, deque([cur])
@@ -348,7 +352,7 @@ def slow_cover(h):
     """The frozenset construction on the conditioned presentation h:
     (blocks, block_of, pre_map, canonical sets, representatives,
     edges)."""
-    starts, states, step, good = kr._pair_graph(h)
+    starts, states, step, good, _ = kr._pair_graph(h)
     realized, pre = slow_survivor_family(h, starts)
     blocks = slow_past_partition(h, realized)
     block_of = {c: i for i, block in enumerate(blocks) for c in block}
@@ -722,6 +726,37 @@ class TestRealizedSets:
                 realized_survivor_sets_bruteforce(make_even(), bound)
 
 
+class TestCandidatePreimageTable:
+    def test_entries_and_period_fixpoints(self):
+        # pre[i * k + a] is the index of the candidate pre_a D, -1 when
+        # that is empty, and the table's fixpoints are _period_fixpoint's
+        empty_fixpoints = 0
+        for name, g in random_presentations(seed=318):
+            h = make_right_resolving(trim_essential(g))
+            n, full, k = h.vertex_count, h.full_mask(), len(h.alphabet)
+            _, states, _, _, pre = kr._pair_graph(h)
+            candidates = len(pre) // k
+            assert len(pre) == candidates * k
+            assert states[0] == full << n
+            for i in range(candidates):
+                d = states[i] >> n
+                assert states[i] == d << n | full ^ d, name
+                for a in h.alphabet:
+                    p, j = h.predecessors(a, d), pre[i * k + a]
+                    if p:
+                        assert 0 <= j < candidates, (name, i, a)
+                        assert states[j] >> n == p, (name, i, a)
+                    else:
+                        assert j == -1, (name, i, a)
+            for length in (1, 2, 3):
+                for v in itertools.product(h.alphabet, repeat=length):
+                    j = kr._pre_fixpoint(pre, k, v)
+                    mask = states[j] >> n if j >= 0 else 0
+                    assert mask == kr._period_fixpoint(h, v), (name, v)
+                    empty_fixpoints += j < 0
+        assert empty_fixpoints > 0
+
+
 class TestPastPartition:
     def test_even_three_singleton_blocks(self, even_graph):
         sg = transition_semigroup(even_graph)
@@ -854,6 +889,25 @@ class TestBuildCover:
                     want = track_representative(cover.graph, block)
                 assert rep == want, (name, sorted(map(sorted, block)))
         assert fallbacks >= 20
+
+    @pytest.mark.parametrize("gseed, longest", [(9, 3), (25, 4)])
+    def test_ten_letter_representatives_match_survivor_set_route(
+            self, gseed, longest):
+        # 5 vertices over 10 letters, each (vertex, letter) pair with one
+        # edge to a random target with probability 0.8
+        rng = random.Random(gseed)
+        edges = [(v, rng.randrange(5), a) for v in range(5)
+                 for a in range(10) if rng.random() < 0.8]
+        cover = build_cover(LabeledGraph(
+            Alphabet([str(a) for a in range(10)]),
+            [f"v{v}" for v in range(5)], edges))
+        assert cover.class_count >= 28
+        for block, rep in zip(cover.class_sets, cover.representatives):
+            assert rep == short_ray_representative(
+                cover.graph, block, kr._REPRESENTATIVE_SEARCH_CAP), \
+                sorted(map(sorted, block))
+        assert max(len(rep.preperiod) + len(rep.period)
+                   for rep in cover.representatives) == longest
 
     def test_full_two_shift_cover(self):
         cover = build_cover(make_full(2))
