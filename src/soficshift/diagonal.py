@@ -95,8 +95,7 @@ def _word_mask(cover: KriegerCover, word: Word) -> int:
     if index.left_resolving:
         ends = (1 << cover.class_count) - 1
         for a in word:
-            ends = next((sub for b, sub in _letter_masks(index, ends)
-                         if b == a), 0)
+            ends = _letter_mask(index, ends, a)
         return ends
     out = 0
     for starts in _sources(cover, word,
@@ -137,6 +136,13 @@ def _letter_masks(index: CoverIndex,
                 by_letter[a] = by_letter.get(a, 0) | sub
         memo[mask] = tuple(by_letter.items())
     return memo[mask]
+
+
+def _letter_mask(index: CoverIndex, mask: int, letter: int) -> int:
+    # the ranges of the out-edges labeled ``letter`` of the classes of
+    # ``mask``: one letter of a forward walk
+    return next((sub for a, sub in _letter_masks(index, mask)
+                 if a == letter), 0)
 
 
 def _split_owners(index: CoverIndex,
@@ -441,6 +447,11 @@ def express_class_projection(
     table of these words does not depend on i and is built once per
     cover (``cover.range_witnesses``).  The trivial all-classes factor
     is dropped unless it is the only member of M.
+
+    ``verify`` does not call this once per class: its
+    projection_word_formulas check decides every class's formula from
+    one grouping of the classes (see
+    ``isocheck._check_projection_formulas``).
     """
     if not (0 <= i < cover.class_count):
         raise ValueError(f"class index {i} out of range")

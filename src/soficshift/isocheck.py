@@ -12,15 +12,18 @@ it breaks, with a witness.
 Checks are counted per word but decided once per distinct input they
 depend on: the word families once per scan state, the conjugation
 identity once per post image (the set of classes a word can precede),
-the projection formulas once per table word's post image.  One
+and the projection formulas of all classes by one grouping of the
+classes by their memberships in the table words' post images.  One
 ``verify_all`` call takes each word's post image once, in a table that
-the word scan, the conjugation check and the formulas share.  It also
+the word scan, the conjugation check and the formulas share; on a
+left-resolving cover it steps each word from its prefix's.  It also
 builds each edge's mapped range projection once, in one list that
 class_edge_splitting, edge_support_sums, range_projection_orthogonality
 and range_projection_partition share.  Range projection orthogonality
 groups the edges by the depth-1 cells of their images and by their
 (label, range) pairs; every pair in a group fails, so only the least
-such pair is intersected, for its witness.
+such pair is intersected, for its witness.  On a left-resolving cover
+the partition unites the images in one step.
 The memo tables are locals of one call, and each witness is the one a
 word by word, class by class, pair by pair run gives.
 
@@ -141,25 +144,50 @@ def _edge_str(cover: KriegerCover, e: Edge) -> str:
 
 
 class _PostImages(dict):
-    """Per word, its post image by the graph route
-    (``diagonal.post_image``), or the message of its ambiguity error.
+    """Per word, its post image by the graph route as the bitmask of
+    its classes (the classes the word can precede; the post image is
+    their union at depth 0), or the message of its ambiguity error.
 
     Each is taken on first request and kept for the table's lifetime,
-    one ``verify_all`` call.  Only messages are kept, never the errors,
-    whose tracebacks would tie the cover into reference cycles.
+    one ``verify_all`` call.  On a left-resolving cover the table is
+    also a memo by prefix: a word's mask is one forward step
+    (``diagonal._letter_mask``) from the mask of its longest prefix in
+    the table, or from all classes, and the prefixes walked on the way
+    are kept too.  Other covers keep the backward walk from all classes
+    of ``diagonal.post_image``, which names the ambiguity a walk meets.
+    Only messages are kept, never the errors, whose tracebacks would
+    tie the cover into reference cycles.
     """
 
     def __init__(self, cover: KriegerCover):
         super().__init__()
         self.cover = cover
 
-    def __missing__(self, word: Word) -> ClopenSet | str:
-        try:
-            value = diagonal.post_image(self.cover, word)
-        except AmbiguousLabelError as exc:
-            value = str(exc)
+    def __missing__(self, word: Word) -> int | str:
+        cover = self.cover
+        index = cover.index
+        if index.left_resolving:
+            value, start = (1 << cover.class_count) - 1, 0
+            for k in range(len(word) - 1, 0, -1):
+                if word[:k] in self:
+                    value, start = self[word[:k]], k
+                    break
+            for k in range(start, len(word)):
+                value = diagonal._letter_mask(index, value, word[k])
+                self[word[:k + 1]] = value
+        else:
+            try:
+                value = diagonal.post_image(cover, word).masks.get(EPSILON,
+                                                                   0)
+            except AmbiguousLabelError as exc:
+                value = str(exc)
         self[word] = value
         return value
+
+
+def _mask_str(cover: KriegerCover, mask: int) -> str:
+    # a class mask rendered as its depth-0 clopen set
+    return diagonal._at_word(cover, EPSILON, mask).render()
 
 
 def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
@@ -313,12 +341,11 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                 if isinstance(lhs, str):
                     rec.fail("word_range_projections", lambda: (
                         f"word {_word_str(cover, w)}: {lhs}"))
-                else:
-                    rhs = diagonal._at_word(cover, EPSILON, a_set)
-                    if lhs != rhs:
-                        rec.fail("word_range_projections", lambda: (
-                            f"word {_word_str(cover, w)}: "
-                            f"{lhs.render()} != {rhs.render()}"))
+                elif lhs != a_set:
+                    rec.fail("word_range_projections", lambda: (
+                        f"word {_word_str(cover, w)}: "
+                        f"{_mask_str(cover, lhs)} != "
+                        f"{_mask_str(cover, a_set)}"))
         frontier = nxt
     return rec
 
@@ -426,7 +453,7 @@ def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
     words = [EPSILON]
     for k in range(1, cap + 1):
         words.extend(sorted(words_of_length(cover.graph, k)))
-    outcomes: dict[ClopenSet, _ConjugationOutcome] = {}
+    outcomes: dict[int, _ConjugationOutcome] = {}
     for nu in words:
         F = post_images[nu]
         if isinstance(F, str):
@@ -434,7 +461,8 @@ def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
                      f"word {_word_str(cover, nu)}: {F}")
             continue
         if F not in outcomes:
-            outcomes[F] = _conjugation_outcome(cover, F)
+            outcomes[F] = _conjugation_outcome(
+                cover, diagonal._at_word(cover, EPSILON, F))
         counted, failure = outcomes[F]
         rec.count("conjugation_locality", counted)
         if failure is not None:
@@ -498,10 +526,45 @@ def _check_orthogonality(cover: KriegerCover, rec: _Recorder,
                  f"overlap on {meet.render()}")
 
 
+def _range_union(cover: KriegerCover,
+                 images: list[ClopenSet]) -> ClopenSet:
+    """The union of the mapped range projections, for
+    range_projection_partition.
+
+    On a left-resolving cover the depth-1 masks of all images are
+    united at once and settled once.  A merge succeeds only when the
+    chosen out-splits cover the per-letter masks exactly, so refining a
+    settled union gives back the masks it was settled from, and folding
+    the images in one at a time, settling after each union, reaches the
+    same depth-1 masks.  Out-splits of a left-resolving cover are
+    disjoint, so those masks settle alike on either path.  Other covers
+    keep the fold, in edge order: where out-splits overlap, a depth-0
+    union can differ from the settled form of its refinement.
+    """
+    if not cover.index.left_resolving:
+        total = diagonal.empty_set(cover)
+        for img in images:
+            total = total.union(img)
+        return total
+    masks: dict[Word, int] = {}
+    for img in images:
+        for w, mask in img.refine(1).masks.items():
+            masks[w] = masks.get(w, 0) | mask
+    return ClopenSet._of(cover, 1, masks)
+
+
 def _check_ck(cover: KriegerCover, rec: _Recorder,
               derived: list[set[tuple[int, int]]],
               outcomes: list[_SplitOutcome],
               images: list[ClopenSet]) -> None:
+    """The relations of the mapped generators: the orthogonality of the
+    range projections (``_check_orthogonality``), the support sums from
+    the split identities in ``outcomes``, and the partition of the
+    whole space.  The partition compares the (label, range) cells of
+    the edges with the prepend-derived ones and, where they agree,
+    unites the images by ``_range_union``: in one step on a
+    left-resolving cover, one at a time on any other.
+    """
     edges = cover.edges
     _check_orthogonality(cover, rec, images)
 
@@ -531,9 +594,7 @@ def _check_ck(cover: KriegerCover, rec: _Recorder,
             f"depth-1 cells from edges {_split_str(cover, cover_cells)} "
             f"!= derived cells {_split_str(cover, derived_cells)}")
     else:
-        total = diagonal.empty_set(cover)
-        for img in images:
-            total = total.union(img)
+        total = _range_union(cover, images)
         if total != diagonal.full_space(cover):
             rec.fail("range_projection_partition",
                      f"union of range projections is "
@@ -611,34 +672,78 @@ def _check_round_trips(cover: KriegerCover, rec: _Recorder) -> None:
                 f"{cover.alphabet.tokens[e.label]} are not unique")
 
 
+_SIGNATURE_CHUNK = 512
+
+
+def _signatures(masks: list[int], m: int) -> list[int]:
+    # per class j < m, its membership in each of ``masks`` as an int
+    # whose bits, most significant first, follow the masks' order: the
+    # columns of the masks' bit matrix, read off their binary strings
+    # (class j is the (j + 1)-th character from the right), a chunk of
+    # rows at a time so that only one chunk is held as characters
+    sigs = [0] * m
+    for start in range(0, len(masks), _SIGNATURE_CHUNK):
+        rows = [format(mask, f"0{m}b")
+                for mask in masks[start:start + _SIGNATURE_CHUNK]]
+        for c, column in enumerate(zip(*rows)):
+            j = m - 1 - c
+            sigs[j] = sigs[j] << len(rows) | int("".join(column), 2)
+    return sigs
+
+
 def _check_projection_formulas(cover: KriegerCover, rec: _Recorder,
                                post_images: _PostImages | None = None
                                ) -> None:
-    # every formula word is a range_witnesses word: read its post image
-    # from post_images and take the complement once per cover, or keep
-    # the ambiguity message of its post image
+    """projection_word_formulas: each class projection E_i is the
+    product of its formula (``diagonal.express_class_projection``) over
+    the post images of the ``range_witnesses`` words, read from
+    ``post_images``.
+
+    Class i's formula takes the table words whose key holds i as
+    positive and the rest as negative.  Its product is therefore the
+    set of classes j whose membership in the words' post images matches
+    i's membership in their keys: the group of i's key signature, once
+    the classes are grouped by their signatures over the post images.
+    The classes are grouped once, and class i passes exactly when its
+    group is {i}; a failing value is that group, rendered only for the
+    witness.  The all-classes key belongs to the empty word, where the
+    table search starts, and the formula drops that factor unless it is
+    i's only positive word, so the signatures leave it out and the
+    group of a class in no other key is intersected with the empty
+    word's post image.  That post image walks no edge, so an ambiguous
+    post image belongs to a word every formula names, and every class
+    fails; the witness is the first class's first ambiguous word,
+    positive words first, as a class by class run gives it.
+    """
     if post_images is None:
         post_images = _PostImages(cover)
-    images: dict[Word, tuple[ClopenSet, ClopenSet] | str] = {}
-    for w in cover.range_witnesses.values():
-        F = post_images[w]
-        images[w] = F if isinstance(F, str) else (F, F.complement())
-    for i in range(cover.class_count):
-        rec.count("projection_word_formulas")
-        pos, neg = diagonal.express_class_projection(cover, i)
-        # the formula fails at its first word, positive then negative,
-        # whose post image is ambiguous
-        msg = next((images[w] for w in pos + neg
-                    if isinstance(images[w], str)), None)
-        if msg is not None:
-            rec.fail("projection_word_formulas", f"class E{i + 1}: {msg}")
-            continue
-        value = diagonal._formula_product(
-            cover, (images[w][0] for w in pos), (images[w][1] for w in neg))
-        if value != diagonal.class_projection(cover, i):
-            rec.fail(
-                "projection_word_formulas",
-                f"class E{i + 1}: formula evaluates to {value.render()}")
+    m = cover.class_count
+    everything = (1 << m) - 1
+    table = cover.range_witnesses
+    images = [post_images[w] for w in table.values()]
+    rec.count("projection_word_formulas", m)
+    if any(isinstance(x, str) for x in images):
+        msg = next(x for _, x in sorted(zip(table, images),
+                                        key=lambda vx: not vx[0] & 1)
+                   if isinstance(x, str))
+        rec.fail("projection_word_formulas", f"class E1: {msg}")
+        return
+    rows = [(v, x) for v, x in zip(table, images) if v != everything]
+    signatures = _signatures([x for _, x in rows], m)
+    keys = signatures if all(v == x for v, x in rows) else \
+        _signatures([v for v, _ in rows], m)
+    groups: dict[int, int] = {}
+    for j, sig in enumerate(signatures):
+        groups[sig] = groups.get(sig, 0) | 1 << j
+    for i, key in enumerate(keys):
+        value = groups.get(key, 0)
+        if not key:
+            value &= post_images[table[everything]]
+        if value != 1 << i:
+            rec.fail("projection_word_formulas", lambda: (
+                f"class E{i + 1}: formula evaluates to "
+                f"{_mask_str(cover, value)}"))
+            return
 
 
 def _results(rec: _Recorder, names) -> tuple[CheckResult, ...]:

@@ -659,15 +659,17 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
 
     reps = _class_representatives(g, realized, max(classes) + 1, starts,
                                   states, step, good, pre)
-    cover = KriegerCover(g, reps, tuple(sorted(
-        edges, key=lambda e: (e.src, e.dst, e.label))), realized, prepend)
-    if not cover.is_left_resolving():
+    # checked on the edges, so that commands that never walk the cover
+    # do not build its index
+    if len({(e.dst, e.label) for e in edges}) < len(edges):
         raise CoverInvariantError("cover is not left-resolving")
-    index = cover.index
-    for i in range(cover.class_count):
-        if i not in index.out or i not in index.into:
+    has_out = {e.src for e in edges}
+    has_in = {e.dst for e in edges}
+    for i in range(len(reps)):
+        if i not in has_out or i not in has_in:
             raise CoverInvariantError(f"class {i + 1} is stranded")
-    return cover
+    return KriegerCover(g, reps, tuple(sorted(
+        edges, key=lambda e: (e.src, e.dst, e.label))), realized, prepend)
 
 
 def stabilization_level(cover: KriegerCover) -> int:

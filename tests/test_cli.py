@@ -242,6 +242,35 @@ class TestImports:
             krieger.no_such_name
 
 
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_processes(self, write,
+                                                        capsys):
+        # an argparse error leaves nothing behind for the calls after
+        # it in the same process
+        path = write("even.shift", EVEN_TEXT)
+        calls = [["verify", path, "--max-word-len", "x"],
+                 ["cover", path],
+                 ["verify", path, "--max-word-len", "3"]]
+        here = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            here.append((code, out.out, out.err))
+        assert [code for code, _, _ in here] == [2, 0, 0]
+        script = "import sys\nfrom soficshift.cli import main\n" \
+                 "sys.exit(main(sys.argv[1:]))"
+        src = os.path.dirname(os.path.dirname(soficshift.__file__))
+        for argv, got in zip(calls, here):
+            proc = subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, text=True,
+                                  timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=src))
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 class TestVertexSetsStayMasks:
     def test_cover_verify_and_ktheory_convert_no_vertex_set(
             self, write, capsys, monkeypatch):

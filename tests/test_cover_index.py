@@ -110,9 +110,10 @@ def use_slow_references(monkeypatch):
     # imported here because test_word_scan and test_post_image_memo
     # import this module
     from test_word_scan import slow_scan_words
-    from test_post_image_memo import (slow_check_conjugation,
+    from test_post_image_memo import (fold_union, slow_check_conjugation,
                                       slow_check_projection_formulas)
     monkeypatch.setattr(isocheck, "_scan_words", slow_scan_words)
+    monkeypatch.setattr(isocheck, "_range_union", fold_union)
     monkeypatch.setattr(isocheck, "_check_conjugation",
                         slow_check_conjugation)
     monkeypatch.setattr(isocheck, "_check_projection_formulas",

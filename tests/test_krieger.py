@@ -845,6 +845,29 @@ class TestBuildCover:
         # neither trimming nor determinizing rebuilds the graph
         assert build_cover(even_graph).graph is even_graph
 
+    def test_index_not_built(self):
+        # the edges are validated as a tuple; only a walk builds the
+        # index
+        for name, g in corpus_graphs():
+            assert "index" not in build_cover(g).__dict__, name
+
+    def test_stranded_class_refused(self, even_graph, monkeypatch):
+        # a prepend table that sends no set into class 2 leaves the
+        # class without in-edges
+        real = kr._class_tables
+
+        def tampered(g, masks):
+            realized, prepend = real(g, masks)
+            classes = list(realized.values())
+            return realized, tuple(
+                tuple(-1 if r < len(classes) and classes[r] == 1 else p
+                      for r, p in enumerate(row)) for row in prepend)
+
+        monkeypatch.setattr(kr, "_class_tables", tampered)
+        with pytest.raises(CoverInvariantError,
+                           match=r"^class 2 is stranded$"):
+            build_cover(even_graph)
+
     def test_even_class_membership(self, even_cover):
         assert even_cover.class_of_ray(Ray((1,), (0,))) == 0
         assert even_cover.class_of_ray(Ray((0, 1), (0,))) == 1

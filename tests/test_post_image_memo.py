@@ -5,12 +5,19 @@ and per-class checks they replaced.
 ``CLOPEN_WORD_CAP``, and ``slow_check_projection_formulas`` takes the
 post image of every formula word again for each class, with the
 formula product written out.  ``isocheck._check_conjugation`` and
-``isocheck._check_projection_formulas`` must record the same
+``isocheck._check_projection_formulas``, which groups the classes once
+by their signatures over the post images, must record the same
 ``checked=`` count and the same witness on seeded covers, intact and
-corrupted, and on generated presentations.  Within one ``verify_all``
-call, the word scan, the conjugation check and the formulas share one
-table of post images, so each word's post image is taken once.
+corrupted, and on generated presentations.  ``fold_union`` unites the
+mapped range projections one at a time, as range_projection_partition
+did before ``isocheck._range_union`` united them in one step on
+left-resolving covers.  Within one ``verify_all`` call, the word scan,
+the conjugation check and the formulas share one table of post images
+(``isocheck._PostImages``), so each word's post image is taken once,
+on a left-resolving cover from its prefix's.
 """
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +27,7 @@ from soficshift import (Alphabet, LabeledGraph, build_cover, corrupt_cover,
 from soficshift.errors import AmbiguousLabelError, EmptyShiftError
 from soficshift.isocheck import (CLOPEN_WORD_CAP, CORRUPTION_KINDS,
                                  _Recorder, _word_str)
-from soficshift.shiftcore import EPSILON, words_of_length
+from soficshift.shiftcore import EPSILON, Edge, words_of_length
 from conftest import corpus_graphs, random_corpus
 from test_krieger import random_presentations
 from test_word_scan import with_variants
@@ -54,20 +61,21 @@ def slow_check_conjugation(cover, rec, max_len, post_images=None):
                      f"word {_word_str(cover, nu)}: {exc}")
 
 
-def slow_check_projection_formulas(cover, rec, post_images=None):
+def slow_check_projection_formulas(cover, rec, post_images=None,
+                                   post_image=None):
     """``isocheck._check_projection_formulas`` class by class, each
-    formula word's post image taken anew (``post_images`` is not
-    read)."""
+    formula word's post image taken anew by ``post_image`` (by default
+    ``diagonal.post_image``; ``post_images`` is not read)."""
+    post_image = post_image or diagonal.post_image
     for i in range(cover.class_count):
         rec.count("projection_word_formulas")
         try:
             pos, neg = diagonal.express_class_projection(cover, i)
             value = diagonal.full_space(cover)
             for w in pos:
-                value = value.intersect(diagonal.post_image(cover, w))
+                value = value.intersect(post_image(cover, w))
             for w in neg:
-                value = value.intersect(
-                    diagonal.post_image(cover, w).complement())
+                value = value.intersect(post_image(cover, w).complement())
             if value != diagonal.class_projection(cover, i):
                 rec.fail(
                     "projection_word_formulas",
@@ -75,6 +83,15 @@ def slow_check_projection_formulas(cover, rec, post_images=None):
                     f"{value.render()}")
         except AmbiguousLabelError as exc:
             rec.fail("projection_word_formulas", f"class E{i + 1}: {exc}")
+
+
+def fold_union(cover, images):
+    """The union of the mapped range projections one image at a time,
+    in edge order, each union settled."""
+    total = diagonal.empty_set(cover)
+    for img in images:
+        total = total.union(img)
+    return total
 
 
 def conjugation(check, cover, max_len):
@@ -96,6 +113,10 @@ def assert_matches(name, cover, max_len=CLOPEN_WORD_CAP):
         conjugation(slow_check_conjugation, cover, max_len), (name, max_len)
     assert formulas(isocheck._check_projection_formulas, cover) == \
         formulas(slow_check_projection_formulas, cover), name
+    images = isocheck._range_images(cover)
+    fast, slow = isocheck._range_union(cover, images), fold_union(cover,
+                                                                  images)
+    assert (fast.depth, fast.masks) == (slow.depth, slow.masks), name
 
 
 # --- covers -----------------------------------------------------------
@@ -246,37 +267,223 @@ class TestDecidedOncePerPostImage:
 
     def test_post_image_once_per_table_word(self, corpus, randoms,
                                             monkeypatch):
-        taken = []
-        real = diagonal.post_image
-
-        def counting(cover, word):
-            taken.append(word)
-            return real(cover, word)
-
-        monkeypatch.setattr(diagonal, "post_image", counting)
+        taken, walked = count_post_images(monkeypatch)
         several = 0
         for name, cover in corpus + randoms:
             taken.clear()
+            walked.clear()
             isocheck._check_projection_formulas(cover, _Recorder())
-            assert taken == list(cover.range_witnesses.values()), name
+            table = list(cover.range_witnesses.values())
+            assert taken == table, name
+            # a left-resolving cover steps each word from its prefix;
+            # any other walks each word backward from all classes once
+            assert walked == ([] if cover.is_left_resolving() else table), \
+                name
             several += cover.class_count > 1
         assert several > 0
 
     def test_verify_takes_each_post_image_once(self, corpus, randoms,
                                                 monkeypatch):
-        taken = []
-        real = diagonal.post_image
-
-        def counting(cover, word):
-            taken.append(word)
-            return real(cover, word)
-
-        monkeypatch.setattr(diagonal, "post_image", counting)
+        taken, walked = count_post_images(monkeypatch)
+        kinds = set()
         for name, cover in corpus + randoms:
             taken.clear()
+            walked.clear()
             verify_all(cover, max_len=4)
             assert len(taken) == len(set(taken)), name
             # every word the clopen families reach goes through the
             # graph route
             assert set(clopen_words(cover, 4)) <= set(taken), name
             assert set(cover.range_witnesses.values()) <= set(taken), name
+            # and no backward walk bypasses the table
+            assert walked == ([] if cover.is_left_resolving() else taken), \
+                name
+            kinds.add(cover.is_left_resolving())
+        assert kinds == {True, False}
+
+
+def count_post_images(monkeypatch):
+    """Record the words whose post image the table takes
+    (``_PostImages.__missing__``) and the words ``diagonal.post_image``
+    walks, in call order."""
+    taken, walked = [], []
+    real_missing = isocheck._PostImages.__missing__
+    real_post_image = diagonal.post_image
+
+    def missing(self, word):
+        taken.append(word)
+        return real_missing(self, word)
+
+    def post_image(cover, word):
+        walked.append(word)
+        return real_post_image(cover, word)
+
+    monkeypatch.setattr(isocheck._PostImages, "__missing__", missing)
+    monkeypatch.setattr(diagonal, "post_image", post_image)
+    return taken, walked
+
+
+def graph_route(cover, word):
+    """The post image mask of ``diagonal.post_image``, or its error's
+    message."""
+    try:
+        return diagonal.post_image(cover, word).masks.get(EPSILON, 0)
+    except AmbiguousLabelError as exc:
+        return str(exc)
+
+
+class TestPrefixMemo:
+    def test_masks_match_graph_route(self, corpus, randoms):
+        # longest words first, so that each walk starts from all
+        # classes and leaves its prefixes in the table
+        kinds = set()
+        for name, cover in corpus + randoms:
+            table = isocheck._PostImages(cover)
+            words = clopen_words(cover, 4)[::-1]
+            for w in words:
+                assert table[w] == graph_route(cover, w), (name, w)
+            if cover.is_left_resolving():
+                assert all(w[:k] in table for w in words
+                           for k in range(len(w))), name
+            kinds.add(cover.is_left_resolving())
+        assert kinds == {True, False}
+
+    def test_prefixes_kept_without_requests(self, corpus, monkeypatch):
+        taken, _ = count_post_images(monkeypatch)
+        for name, cover in corpus:
+            if not cover.is_left_resolving():
+                continue
+            longest = clopen_words(cover, 4)[-1]
+            table = isocheck._PostImages(cover)
+            taken.clear()
+            table[longest]
+            assert taken == [longest], name
+            assert set(table) == {longest[:k]
+                                  for k in range(1, len(longest) + 1)}, name
+
+
+def doctored(cover, rng):
+    """A post image table of the formula words with some masks changed
+    by one class and the empty word's made to miss one class, and a
+    ``post_image`` that reads it."""
+    table = isocheck._PostImages(cover)
+    m = cover.class_count
+    for w in cover.range_witnesses.values():
+        if isinstance(table[w], int) and rng.random() < 0.3:
+            table[w] ^= 1 << rng.randrange(m)
+    if rng.random() < 0.5:
+        table[EPSILON] &= ~(1 << rng.randrange(m))
+
+    def read(c, w):
+        if isinstance(table[w], str):
+            raise AmbiguousLabelError(table[w])
+        return diagonal._at_word(c, EPSILON, table[w])
+
+    return table, read
+
+
+class TestFormulasAsOnePartition:
+    @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1100])
+    def test_signatures_across_chunks(self, rows):
+        rng = random.Random(rows)
+        m = 67
+        masks = [rng.getrandbits(m) for _ in range(rows)]
+        expected = [int("".join("1" if mask >> j & 1 else "0"
+                                for mask in masks) or "0", 2)
+                    for j in range(m)]
+        assert isocheck._signatures(masks, m) == expected
+
+    def test_doctored_tables(self, corpus):
+        # keys and post images differ, groups hold several classes or
+        # none, and the empty word's post image misses classes
+        rng = random.Random(1919)
+        outcomes = set()
+        for name, cover in corpus:
+            for _ in range(6):
+                table, read = doctored(cover, rng)
+                rec, ref = _Recorder(), _Recorder()
+                isocheck._check_projection_formulas(cover, rec, table)
+                slow_check_projection_formulas(cover, ref, post_image=read)
+                assert (rec.checked, rec.witness) == \
+                    (ref.checked, ref.witness), name
+                outcomes.add(rec.witness.get(
+                    "projection_word_formulas", "PASS")[:13])
+        assert {"PASS", "class E1: for", "class E1: two"} <= outcomes
+
+    def test_empty_word_factor_kept_alone(self, corpus):
+        # a class in no key but the all-classes one keeps the empty
+        # word's factor: a table whose empty word misses it fails it
+        met = 0
+        for name, cover in corpus:
+            full = (1 << cover.class_count) - 1
+            others = 0
+            for v in cover.range_witnesses:
+                others |= v if v != full else 0
+            alone = full & ~others
+            if not alone or cover.class_count < 2:
+                continue
+            table = isocheck._PostImages(cover)
+            i = (alone & -alone).bit_length() - 1
+            table[EPSILON] = full & ~(1 << i)
+            rec = _Recorder()
+            isocheck._check_projection_formulas(cover, rec, table)
+            assert rec.witness["projection_word_formulas"].startswith(
+                f"class E{i + 1}: "), name
+            met += 1
+        assert met > 0
+
+
+def strand_out_edges(cover, c):
+    """The cover with every out-edge of class c moved to another
+    source, keeping its labels and ranges, or None."""
+    edges = list(cover.edges)
+    for idx, e in enumerate(edges):
+        if e.src != c:
+            continue
+        for s in range(cover.class_count):
+            if s != c and Edge(s, e.dst, e.label) not in edges:
+                edges[idx] = Edge(s, e.dst, e.label)
+                break
+        else:
+            return None
+    return cover.with_edges(edges)
+
+
+class TestRangeUnion:
+    def test_one_step_on_left_resolving_covers(self, corpus, randoms,
+                                               monkeypatch):
+        unions = []
+        real = diagonal.ClopenSet.union
+
+        def counting(self, other):
+            unions.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(diagonal.ClopenSet, "union", counting)
+        for name, cover in corpus + randoms:
+            images = isocheck._range_images(cover)
+            unions.clear()
+            isocheck._range_union(cover, images)
+            assert len(unions) == (0 if cover.is_left_resolving()
+                                   else len(images)), name
+
+    def test_stranded_sources_fail_alike(self, corpus):
+        # moving a class's out-edges keeps the cover left-resolving and
+        # its (label, range) pairs, so the partition reaches the union,
+        # which misses the class
+        failing = 0
+        for name, cover in corpus:
+            for c in range(cover.class_count):
+                bad = strand_out_edges(cover, c)
+                if bad is None or not bad.is_left_resolving():
+                    continue
+                images = isocheck._range_images(bad)
+                fast = isocheck._range_union(bad, images)
+                slow = fold_union(bad, images)
+                assert (fast.depth, fast.masks) == (slow.depth, slow.masks)
+                report = {r.name: r for r in
+                          isocheck.verify_ck_relations(bad)}
+                if fast != diagonal.full_space(bad):
+                    failing += 1
+                    assert not report["range_projection_partition"].passed
+        assert failing > 0
