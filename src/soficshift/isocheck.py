@@ -13,10 +13,13 @@ Checks are counted per word but decided once per distinct input they
 depend on: the word families once per scan state, the conjugation
 identity once per post image (the set of classes a word can precede),
 and the projection formulas of all classes by one grouping of the
-classes by their memberships in the table words' post images.  One
-``verify_all`` call takes each word's post image once, in a table that
-the word scan, the conjugation check and the formulas share; on a
-left-resolving cover it steps each word from its prefix's.  It also
+classes by their memberships in the table words' post images.  On a
+left-resolving cover every word of one scan state has the same post
+image, so the clopen families read the post image of the state's
+least word only.  One ``verify_all`` call takes each post image once,
+in a table that the word scan, the conjugation check and the formulas
+share; on a left-resolving cover it steps each word from its
+prefix's.  It also
 builds each edge's mapped range projection once, in one list that
 class_edge_splitting, edge_support_sums, range_projection_orthogonality
 and range_projection_partition share.  Range projection orthogonality
@@ -49,7 +52,7 @@ from . import diagonal
 from .diagonal import ClopenSet
 from .errors import AmbiguousLabelError
 from .krieger import KriegerCover, _bits
-from .shiftcore import EPSILON, Edge, Word, words_of_length
+from .shiftcore import EPSILON, Edge, Word
 
 FAMILY_ORDER = (
     "word_path_equivalence",
@@ -153,10 +156,13 @@ class _PostImages(dict):
     also a memo by prefix: a word's mask is one forward step
     (``diagonal._letter_mask``) from the mask of its longest prefix in
     the table, or from all classes, and the prefixes walked on the way
-    are kept too.  Other covers keep the backward walk from all classes
-    of ``diagonal.post_image``, which names the ambiguity a walk meets.
-    Only messages are kept, never the errors, whose tracebacks would
-    tie the cover into reference cycles.
+    are kept too.  The word scan asks there only for the least word of
+    each (length, scan state) pair, whose prefix is the least word of
+    the pair before, so each request is one step.  Other covers keep
+    the backward walk from all classes of ``diagonal.post_image``,
+    which names the ambiguity a walk meets, and are asked for every
+    word up to ``CLOPEN_WORD_CAP``.  Only messages are kept, never the
+    errors, whose tracebacks would tie the cover into reference cycles.
     """
 
     def __init__(self, cover: KriegerCover):
@@ -190,8 +196,12 @@ def _mask_str(cover: KriegerCover, mask: int) -> str:
     return diagonal._at_word(cover, EPSILON, mask).render()
 
 
+_Pair = tuple[Word, int, int]
+
+
 def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
-                post_images: _PostImages | None = None) -> _Recorder:
+                post_images: _PostImages | None = None,
+                pairs: list[list[_Pair]] | None = None) -> _Recorder:
     """The word-indexed families over all admissible words up to
     ``max_len``, by a dynamic program over (length, scan state).
 
@@ -208,9 +218,20 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     length, then lexicographically, with pruned words (those that
     precede no class by either route) never extended.  A family's
     witness is thus the least word of its first failing pair, the first
-    failing word.  Up to ``clopen_len`` the state also holds the word
-    itself, so ``word_range_projections`` compares each word's post
-    image, read from ``post_images``, with the relation route.
+    failing word.
+
+    Up to ``clopen_len`` ``word_range_projections`` compares the post
+    image of the pair's least word, read from ``post_images``, with the
+    relation route.  That post image is the set of the word's forward
+    path ends, the classes where the backward map is defined, so every
+    word of the pair has it.  Only on a cover that is not left-resolving
+    does the state up to ``clopen_len`` also hold the word itself: there
+    the graph route names the ambiguity a word's backward walk meets,
+    which is the word's own.  The least words of one length extend
+    those of the length before, so a prefix memo takes each post image
+    in one step.  If ``pairs`` is given, the (least word, word count,
+    relation classes) of every pair up to ``clopen_len`` are appended
+    to it, one list per length from the empty word's.
     """
     if max_len < 0:
         raise ValueError("word length must be nonnegative")
@@ -219,7 +240,9 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     rec = _Recorder()
     m = cover.class_count
     realized, prepend = cover.realized, cover.prepend
-    into = cover.index.sources_by_label
+    index = cover.index
+    into = index.sources_by_label
+    per_word = not index.left_resolving
     letters = list(cover.alphabet)
     # core id -> (preimage per slot of cover.realized, back (-1: no
     # path), relation classes, path classes), the last two as bitmasks
@@ -260,12 +283,14 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                 None if met is None else met[1])
         return steps[cid, a]
 
-    # (core, ambiguous class, word up to clopen_len) -> [word count,
-    # least word]
-    frontier: dict[tuple, list] = {
-        (core(tuple(realized), tuple(range(m))), None, EPSILON):
-            [1, EPSILON]}
+    # (core, ambiguous class, word up to clopen_len on a cover that is
+    # not left-resolving) -> [word count, least word]
+    start = core(tuple(realized), tuple(range(m)))
+    frontier: dict[tuple, list] = {(start, None, EPSILON): [1, EPSILON]}
+    if pairs is not None:
+        pairs.append([(EPSILON, 1, cores[start][2])])
     for k in range(1, max_len + 1):
+        clopen = k <= clopen_len
         nxt: dict[tuple, list] = {}
         for (cid, _, _), (n, least) in frontier.items():
             for a in letters:
@@ -273,11 +298,14 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                 if child is None:
                     continue
                 w = least + (a,)
-                key = (child, amb, w if k <= clopen_len else None)
+                key = (child, amb, w if clopen and per_word else None)
                 if key in nxt:
                     nxt[key][0] += n
                 else:
                     nxt[key] = [n, w]
+        if clopen and pairs is not None:
+            pairs.append([(w, n, cores[cid][2])
+                          for (cid, _, _), (n, w) in nxt.items()])
 
         for (cid, amb, _), (n, w) in nxt.items():
             P, back, a_set, b_set = cores[cid]
@@ -335,8 +363,8 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
 
             # word_range_projections: clopen post image against the
             # relation-route class sum
-            if k <= clopen_len:
-                rec.count("word_range_projections")
+            if clopen:
+                rec.count("word_range_projections", n)
                 lhs = post_images[w]
                 if isinstance(lhs, str):
                     rec.fail("word_range_projections", lambda: (
@@ -439,22 +467,30 @@ def _conjugation_outcome(cover: KriegerCover,
 
 
 def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
-                       post_images: _PostImages | None = None) -> None:
+                       post_images: _PostImages | None = None,
+                       pairs: list[list[_Pair]] | None = None) -> None:
     """conjugation_locality over the words up to ``CLOPEN_WORD_CAP``.
 
-    A word reaches the identity only through its post image F, read
-    from ``post_images``, so the outcome is decided once per distinct F
-    and counted per word; the witness is the first failing (word,
-    letter), words in length then lexicographic order.
+    The words are those of the word scan's (length, scan state) pairs
+    up to the cap, ``pairs`` as ``_scan_words`` fills it, taken from a
+    scan of their own when not given.  A pair's words are words of the
+    shift exactly when its relation classes are not empty, and they all
+    share the post image F of its least word, read from
+    ``post_images``.  A word reaches the identity only through F, so
+    the outcome is decided once per distinct F and counted per word;
+    the witness is the first failing (word, letter), words in length
+    then lexicographic order, as the pairs come.
     """
     if post_images is None:
         post_images = _PostImages(cover)
     cap = min(max_len, CLOPEN_WORD_CAP)
-    words = [EPSILON]
-    for k in range(1, cap + 1):
-        words.extend(sorted(words_of_length(cover.graph, k)))
+    if pairs is None:
+        pairs = []
+        _scan_words(cover, cap, cap, post_images, pairs)
     outcomes: dict[int, _ConjugationOutcome] = {}
-    for nu in words:
+    for nu, n, a_set in (p for level in pairs for p in level):
+        if not a_set:
+            continue
         F = post_images[nu]
         if isinstance(F, str):
             rec.fail("conjugation_locality",
@@ -464,7 +500,7 @@ def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
             outcomes[F] = _conjugation_outcome(
                 cover, diagonal._at_word(cover, EPSILON, F))
         counted, failure = outcomes[F]
-        rec.count("conjugation_locality", counted)
+        rec.count("conjugation_locality", counted * n)
         if failure is not None:
             a, detail = failure
             rec.fail("conjugation_locality", lambda: (
@@ -789,22 +825,26 @@ def verify_all(cover: KriegerCover, max_len: int = 8) -> Report:
     Word-indexed families run over all admissible words up to
     ``max_len``, counted per word but decided once per (length, scan
     state) pair (see ``_scan_words``).  Families that go through the
-    clopen engine cap the word length at 5 to stay inside desk-scale
-    budgets: ``word_range_projections`` runs per word, and
-    ``conjugation_locality`` is decided once per post image and counted
-    per word (see ``_check_conjugation``).  Both, and the projection
-    formulas, read one table of post images, so each word's post image
-    is taken once per call.
+    clopen engine cap the word length at ``CLOPEN_WORD_CAP`` (5) to
+    stay inside desk-scale budgets and read the scan's pairs up to the
+    cap: ``word_range_projections`` is decided once per pair, by the
+    post image of its least word, and ``conjugation_locality`` once per
+    post image of the pairs' least words, counted per word (see
+    ``_check_conjugation``).  On a cover that is not left-resolving
+    each word up to the cap is a pair of its own.  Both families, and
+    the projection formulas, read one table of post images, so each
+    post image is taken once per call.
     """
     post_images = _PostImages(cover)
+    pairs: list[list[_Pair]] = []
     rec = _scan_words(cover, max_len,
                       clopen_len=min(max_len, CLOPEN_WORD_CAP),
-                      post_images=post_images)
+                      post_images=post_images, pairs=pairs)
     derived = _derived_splits(cover)
     images = _range_images(cover)
     outcomes = _split_identities(cover, derived, images)
     _check_class_splitting(cover, rec, outcomes)
-    _check_conjugation(cover, rec, max_len, post_images)
+    _check_conjugation(cover, rec, max_len, post_images, pairs)
     _check_ck(cover, rec, derived, outcomes, images)
     _check_edge_sum_structural(cover, rec)
     _check_round_trips(cover, rec)

@@ -504,17 +504,25 @@ class KriegerCover:
         A class is met when the range meets its canonical survivor set,
         so this is the set of classes the word can precede.  Empty
         ranges are left out.  Found by a breadth-first search over the
-        ranges from the full vertex set, letters in order.
+        ranges from the full vertex set, letters in order; a range's
+        classes are the union, over its vertices, of the classes whose
+        canonical sets hold the vertex.
         """
         g = self.graph
-        masks = list(itertools.islice(self.realized, self.class_count))
+        of_vertex = [0] * len(g.vertex_names)
+        for c, m in enumerate(itertools.islice(self.realized,
+                                               self.class_count)):
+            for v in _bits(m):
+                of_vertex[v] |= 1 << c
         best: dict[int, Word] = {}
         seen = {g.full_mask()}
         queue = deque([(g.full_mask(), EPSILON)])
         while queue:
             rng, w = queue.popleft()
-            best.setdefault(sum(1 << c for c, m in enumerate(masks)
-                                if rng & m), w)
+            classes = 0
+            for v in _bits(rng):
+                classes |= of_vertex[v]
+            best.setdefault(classes, w)
             for a in g.alphabet:
                 nxt = g.successors(a, rng)
                 if nxt and nxt not in seen:

@@ -14,7 +14,8 @@ did before ``isocheck._range_union`` united them in one step on
 left-resolving covers.  Within one ``verify_all`` call, the word scan,
 the conjugation check and the formulas share one table of post images
 (``isocheck._PostImages``), so each word's post image is taken once,
-on a left-resolving cover from its prefix's.
+on a left-resolving cover from its prefix's, and there only for the
+least word of each of the word scan's (length, scan state) pairs.
 """
 
 import random
@@ -30,14 +31,17 @@ from soficshift.isocheck import (CLOPEN_WORD_CAP, CORRUPTION_KINDS,
 from soficshift.shiftcore import EPSILON, Edge, words_of_length
 from conftest import corpus_graphs, random_corpus
 from test_krieger import random_presentations
-from test_word_scan import with_variants
+from test_word_scan import (recorded, slow_rounds, slow_scan_words,
+                            with_variants)
 
 
 # --- the slow references ------------------------------------------------
 
-def slow_check_conjugation(cover, rec, max_len, post_images=None):
-    """``isocheck._check_conjugation`` word by word, each post image
-    taken anew (``post_images`` is not read)."""
+def slow_check_conjugation(cover, rec, max_len, post_images=None,
+                           pairs=None):
+    """``isocheck._check_conjugation`` word by word over the words of
+    the presentation graph, each post image taken anew (``post_images``
+    and ``pairs`` are not read)."""
     cap = min(max_len, CLOPEN_WORD_CAP)
     words = [EPSILON]
     for k in range(1, cap + 1):
@@ -244,6 +248,31 @@ class TestMatchesSlowReferences:
         assert_matches(kind, cover, max_len)
 
 
+class TestVerifyMatchesSlowScan:
+    def test_clopen_families(self, corpus, randoms):
+        # verify_all reads both families off the scan's pairs; the slow
+        # references compare every word's post image on its own
+        failing = {"word_range_projections": 0, "conjugation_locality": 0}
+        for name, cover in corpus + randoms:
+            rounds, _ = slow_rounds(cover, 6, CLOPEN_WORD_CAP)
+            for max_len in range(7):
+                got = {r.name: (r.checked, r.witness)
+                       for r in verify_all(cover, max_len).results}
+                counts, witnesses = (rounds[max_len - 1] if max_len else
+                                     recorded(slow_scan_words(cover, 0, 0)))
+                fam = "word_range_projections"
+                assert got[fam] == (counts[fam], witnesses[fam]), \
+                    (name, max_len)
+                # past the cap the words, and so the outcome, are those
+                # at the cap
+                if max_len <= CLOPEN_WORD_CAP:
+                    slow = conjugation(slow_check_conjugation, cover, max_len)
+                assert got["conjugation_locality"] == slow, (name, max_len)
+            for fam in failing:
+                failing[fam] += got[fam][1] is not None
+        assert all(failing.values()), failing
+
+
 class TestDecidedOncePerPostImage:
     def test_conjugation_outcome_once_per_post_image(self, corpus, randoms,
                                                      monkeypatch):
@@ -286,20 +315,68 @@ class TestDecidedOncePerPostImage:
                                                 monkeypatch):
         taken, walked = count_post_images(monkeypatch)
         kinds = set()
+        shared = 0
         for name, cover in corpus + randoms:
             taken.clear()
             walked.clear()
             verify_all(cover, max_len=4)
             assert len(taken) == len(set(taken)), name
-            # every word the clopen families reach goes through the
-            # graph route
-            assert set(clopen_words(cover, 4)) <= set(taken), name
-            assert set(cover.range_witnesses.values()) <= set(taken), name
+            table = set(cover.range_witnesses.values())
+            if cover.is_left_resolving():
+                # the word scan takes the post image of each pair's
+                # least word, the conjugation check adds the empty
+                # word's and the formulas those of the table words
+                least = scan_least_words(cover, 4)
+                assert set(taken) == {EPSILON} | least | table, name
+                shared += len(least) < len(clopen_words(cover, 4)) - 1
+            else:
+                # every word the clopen families reach goes through the
+                # graph route
+                assert set(clopen_words(cover, 4)) <= set(taken), name
+                assert table <= set(taken), name
             # and no backward walk bypasses the table
             assert walked == ([] if cover.is_left_resolving() else taken), \
                 name
             kinds.add(cover.is_left_resolving())
         assert kinds == {True, False}
+        assert shared > 0
+
+
+def scan_least_words(cover, max_len):
+    """The least word of each (length, scan state) pair of the word
+    scan up to ``max_len``, found word by word.
+
+    A word's state is, per realized slot, the slot that prepending the
+    word reaches (-1: none), and per class the least start of a path
+    labeled the word that ends there (-1: none), both read from the
+    cover's tables and edges directly.  Words that reach no class by
+    either route are pruned and not extended.
+    """
+    m = cover.class_count
+    masks = list(cover.realized)
+    least = {}
+    level = {EPSILON: (tuple(range(len(masks))),
+                       frozenset((i, i) for i in range(m)))}
+    for k in range(1, max_len + 1):
+        nxt = {}
+        for word in sorted(level):
+            slots, rel = level[word]
+            for a in cover.alphabet:
+                slots2 = tuple(slots[r] if r >= 0 else -1
+                               for r in cover.prepend[a])
+                rel2 = frozenset((s, e.dst) for s, t in rel
+                                 for e in cover.edges
+                                 if e.src == t and e.label == a)
+                if not rel2 and not any(
+                        slots2[i] >= 0 and masks[slots2[i]]
+                        for i in range(m)):
+                    continue
+                back = tuple(min((s for s, c in rel2 if c == i), default=-1)
+                             for i in range(m))
+                nxt[word + (a,)] = (slots2, rel2)
+                least.setdefault((k, slots2, back), word + (a,))
+        level = nxt
+    return set(least.values())
 
 
 def count_post_images(monkeypatch):

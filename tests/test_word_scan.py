@@ -20,7 +20,7 @@ from soficshift import (Alphabet, LabeledGraph, build_cover, corrupt_cover,
                         diagonal, isocheck, trim_essential)
 from soficshift.errors import AmbiguousLabelError, EmptyShiftError
 from soficshift.isocheck import CORRUPTION_KINDS, _Recorder, _word_str
-from soficshift.shiftcore import EPSILON, Edge
+from soficshift.shiftcore import EPSILON, Edge, words_of_length
 from conftest import corpus_graphs, make_even, make_full, random_corpus
 from test_cover_index import duplicate_two_labels
 from test_krieger import random_presentations
@@ -182,9 +182,11 @@ def recorded(rec):
             {fam: rec.witness.get(fam) for fam in WORD_FAMILIES})
 
 
-def slow_scan_words(cover, max_len, clopen_len, post_images=None):
+def slow_scan_words(cover, max_len, clopen_len, post_images=None,
+                    pairs=None):
     """``isocheck._scan_words`` by the per-word scan, which takes each
-    post image anew and so ignores ``post_images``."""
+    post image anew and so ignores ``post_images``; ``pairs`` is not
+    filled."""
     rec = _Recorder()
     for rec, _ in slow_scan_rounds(cover, max_len, clopen_len):
         pass
@@ -332,6 +334,41 @@ class TestMatchesPerWordScan:
                 assume(False)
         assert recorded(isocheck._scan_words(cover, max_len, clopen_len)) \
             == recorded(slow_scan_words(cover, max_len, clopen_len))
+
+
+class TestGraphWords:
+    def test_relation_classes_pick_the_graph_words(self, covers):
+        # conjugation_locality takes the words of the shift as the scan
+        # words with relation classes, which corruption cannot move
+        spurious = 0
+        for name, cover in covers:
+            m = cover.class_count
+            masks = list(cover.realized)
+            pairs = []
+            isocheck._scan_words(cover, 5, 5, pairs=pairs)
+            for k, (_, rels) in enumerate(slow_scan_rounds(cover, 5, 0),
+                                          start=1):
+                words = words_of_length(cover.graph, k)
+                # word by word, the relation classes by a prepend fold
+                met = set()
+                for w in (w for w in rels if len(w) == k):
+                    slots = list(range(m))
+                    for a in reversed(w):
+                        slots = [cover.prepend[a][s] if s >= 0 else -1
+                                 for s in slots]
+                    if any(s >= 0 and masks[s] for s in slots):
+                        met.add(w)
+                    else:
+                        spurious += 1
+                assert met == words, (name, k)
+                # pair by pair, as the scan hands them on
+                graph = [(w, n) for w, n, a_set in pairs[k] if a_set]
+                assert sum(n for _, n in graph) == len(words), (name, k)
+                assert {w for w, _ in graph} <= words, (name, k)
+                if not cover.is_left_resolving():
+                    assert {w for w, _ in graph} == words, (name, k)
+            assert pairs[0] == [(EPSILON, 1, (1 << m) - 1)], name
+        assert spurious > 0
 
 
 class TestMemory:

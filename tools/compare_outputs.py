@@ -10,7 +10,11 @@ intact and with each ``--corrupt`` kind, and through ``oracle`` at its
 default ``--bound``, the one command that reads the frozenset survivor
 sets of ``realized_survivor_sets``.  ``verify`` takes the workload's own
 ``--max-word-len`` on the verify workloads; on the ``cover_ktheory``
-inputs it takes 4, or 2 over more than three letters.  Each checkout
+inputs it takes 4, or 2 over more than three letters.  On the
+``verify_classes`` and ``cover_ktheory`` inputs ``verify`` also runs,
+intact and with each ``--corrupt`` kind, at ``--max-word-len 5``, or 3
+over more than three letters, so that the word families reach the
+clopen word cap on covers with many classes.  Each checkout
 runs every call in one child process that imports ``soficshift`` from
 that checkout's ``src``.  Then every ``demos/*.py`` of NEW_CHECKOUT is
 run as a script, from each checkout's own ``demos`` directory against
@@ -79,18 +83,20 @@ def calls(seeds, workloads, directory: str) -> list[list[str]]:
                     directory, f"{len(seen):03d}_{p.name}.shift")
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(text)
+                few = len(p.tokens) <= 3
                 if workload == "verify_words":
-                    length = "8"
-                elif workload == "verify_classes" or len(p.tokens) <= 3:
-                    length = "4"
+                    lengths = ["8"]
+                elif workload == "verify_classes":
+                    lengths = ["4", "5" if few else "3"]
                 else:
-                    length = "2"
-                verify = ["verify", path, "--max-word-len", length]
+                    lengths = ["4" if few else "2", "5" if few else "3"]
                 out += [["cover", path, "--dot", path + ".dot"],
                         ["matrix", path], ["ktheory", path],
-                        ["oracle", path], verify]
-                out += [verify + ["--corrupt", kind]
-                        for kind in corpus.CORRUPTION_KINDS]
+                        ["oracle", path]]
+                for length in lengths:
+                    verify = ["verify", path, "--max-word-len", length]
+                    out += [verify] + [verify + ["--corrupt", kind]
+                                       for kind in corpus.CORRUPTION_KINDS]
     return out
 
 
