@@ -3,8 +3,8 @@
 Subcommands: ``cover``, ``matrix``, ``verify``, ``ktheory``,
 ``oracle``, ``words``.  Exit codes: 0 on success, 1 when a
 verification or oracle comparison fails, 2 on input errors, unreadable
-or unwritable files and invalid option values.  All output is
-byte-deterministic for fixed input and flags.
+or unwritable files, invalid option values and size caps reached.  All
+output is byte-deterministic for fixed input and flags.
 """
 
 from __future__ import annotations

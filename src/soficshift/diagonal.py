@@ -419,9 +419,15 @@ def conj_by_letter(cover: KriegerCover, letter: int,
 def shift_preimage(cover: KriegerCover, F: ClopenSet) -> ClopenSet:
     """Rays whose shift lands in F: the union of the letter prepends
     of F over the whole alphabet."""
+    return _union_all(cover, (conj_by_letter(cover, a, F)
+                              for a in cover.alphabet))
+
+
+def _union_all(cover: KriegerCover, sets: Iterable[ClopenSet]) -> ClopenSet:
+    # the union of ``sets`` folded in their order, each union settled
     out = empty_set(cover)
-    for a in cover.alphabet:
-        out = out.union(conj_by_letter(cover, a, F))
+    for F in sets:
+        out = out.union(F)
     return out
 
 

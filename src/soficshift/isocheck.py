@@ -16,11 +16,11 @@ and the projection formulas of all classes by one grouping of the
 classes by their memberships in the table words' post images.  On a
 left-resolving cover every word of one scan state has the same post
 image, so the clopen families read the post image of the state's
-least word only.  One ``verify_all`` call takes each post image once,
-in a table that the word scan, the conjugation check and the formulas
-share; on a left-resolving cover it steps each word from its
-prefix's.  It also
-builds each edge's mapped range projection once, in one list that
+least word only, which the word scan carries: one forward letter step
+from the post image of the shorter least word it extends.  The
+conjugation check reads the scan's post images; the formulas take
+those of their table words by the graph route.  One ``verify_all``
+call also builds each edge's mapped range projection once, in one list that
 class_edge_splitting, edge_support_sums, range_projection_orthogonality
 and range_projection_partition share.  Range projection orthogonality
 groups the edges by the depth-1 cells of their images and by their
@@ -146,49 +146,15 @@ def _edge_str(cover: KriegerCover, e: Edge) -> str:
     return f"E{e.src + 1}--{cover.alphabet.tokens[e.label]}-->E{e.dst + 1}"
 
 
-class _PostImages(dict):
-    """Per word, its post image by the graph route as the bitmask of
-    its classes (the classes the word can precede; the post image is
-    their union at depth 0), or the message of its ambiguity error.
-
-    Each is taken on first request and kept for the table's lifetime,
-    one ``verify_all`` call.  On a left-resolving cover the table is
-    also a memo by prefix: a word's mask is one forward step
-    (``diagonal._letter_mask``) from the mask of its longest prefix in
-    the table, or from all classes, and the prefixes walked on the way
-    are kept too.  The word scan asks there only for the least word of
-    each (length, scan state) pair, whose prefix is the least word of
-    the pair before, so each request is one step.  Other covers keep
-    the backward walk from all classes of ``diagonal.post_image``,
-    which names the ambiguity a walk meets, and are asked for every
-    word up to ``CLOPEN_WORD_CAP``.  Only messages are kept, never the
-    errors, whose tracebacks would tie the cover into reference cycles.
-    """
-
-    def __init__(self, cover: KriegerCover):
-        super().__init__()
-        self.cover = cover
-
-    def __missing__(self, word: Word) -> int | str:
-        cover = self.cover
-        index = cover.index
-        if index.left_resolving:
-            value, start = (1 << cover.class_count) - 1, 0
-            for k in range(len(word) - 1, 0, -1):
-                if word[:k] in self:
-                    value, start = self[word[:k]], k
-                    break
-            for k in range(start, len(word)):
-                value = diagonal._letter_mask(index, value, word[k])
-                self[word[:k + 1]] = value
-        else:
-            try:
-                value = diagonal.post_image(cover, word).masks.get(EPSILON,
-                                                                   0)
-            except AmbiguousLabelError as exc:
-                value = str(exc)
-        self[word] = value
-        return value
+def _post_image(cover: KriegerCover, word: Word) -> int | str:
+    """The word's post image by the graph route (``diagonal._word_mask``)
+    as the bitmask of its classes, or the message of its ambiguity
+    error.  Only the message is kept, never the error, whose traceback
+    would tie the cover into a reference cycle."""
+    try:
+        return diagonal._word_mask(cover, word)
+    except AmbiguousLabelError as exc:
+        return str(exc)
 
 
 def _mask_str(cover: KriegerCover, mask: int) -> str:
@@ -196,11 +162,12 @@ def _mask_str(cover: KriegerCover, mask: int) -> str:
     return diagonal._at_word(cover, EPSILON, mask).render()
 
 
-_Pair = tuple[Word, int, int]
+# (least word, word count, relation classes, post image of the least
+# word) of one (length, scan state) pair
+_Pair = tuple[Word, int, int, int | str]
 
 
 def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
-                post_images: _PostImages | None = None,
                 pairs: list[list[_Pair]] | None = None) -> _Recorder:
     """The word-indexed families over all admissible words up to
     ``max_len``, by a dynamic program over (length, scan state).
@@ -221,22 +188,23 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     failing word.
 
     Up to ``clopen_len`` ``word_range_projections`` compares the post
-    image of the pair's least word, read from ``post_images``, with the
-    relation route.  That post image is the set of the word's forward
-    path ends, the classes where the backward map is defined, so every
-    word of the pair has it.  Only on a cover that is not left-resolving
-    does the state up to ``clopen_len`` also hold the word itself: there
-    the graph route names the ambiguity a word's backward walk meets,
-    which is the word's own.  The least words of one length extend
-    those of the length before, so a prefix memo takes each post image
-    in one step.  If ``pairs`` is given, the (least word, word count,
-    relation classes) of every pair up to ``clopen_len`` are appended
-    to it, one list per length from the empty word's.
+    image of the pair's least word with the relation route.  That post
+    image is the set of the word's forward path ends, the classes where
+    the backward map is defined, so every word of the pair has it.  The
+    scan carries it with the pair: the least word of a pair extends the
+    least word of the pair before it by one letter, so on a
+    left-resolving cover its post image is one forward letter step
+    (``diagonal._letter_mask``) from that pair's.  Only on a cover that
+    is not left-resolving does the state up to ``clopen_len`` also hold
+    the word itself: there the graph route names the ambiguity a word's
+    backward walk meets, which is the word's own, and each word's post
+    image is its own backward walk (``_post_image``).  If ``pairs`` is
+    given, the (least word, word count, relation classes, post image)
+    of every pair up to ``clopen_len`` are appended to it, one list per
+    length from the empty word's.
     """
     if max_len < 0:
         raise ValueError("word length must be nonnegative")
-    if post_images is None:
-        post_images = _PostImages(cover)
     rec = _Recorder()
     m = cover.class_count
     realized, prepend = cover.realized, cover.prepend
@@ -284,15 +252,18 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
         return steps[cid, a]
 
     # (core, ambiguous class, word up to clopen_len on a cover that is
-    # not left-resolving) -> [word count, least word]
+    # not left-resolving) -> [word count, least word, post image of the
+    # least word up to clopen_len, else None]
     start = core(tuple(realized), tuple(range(m)))
-    frontier: dict[tuple, list] = {(start, None, EPSILON): [1, EPSILON]}
+    everything = (1 << m) - 1
+    frontier: dict[tuple, list] = {
+        (start, None, EPSILON): [1, EPSILON, everything]}
     if pairs is not None:
-        pairs.append([(EPSILON, 1, cores[start][2])])
+        pairs.append([(EPSILON, 1, cores[start][2], everything)])
     for k in range(1, max_len + 1):
         clopen = k <= clopen_len
         nxt: dict[tuple, list] = {}
-        for (cid, _, _), (n, least) in frontier.items():
+        for (cid, _, _), (n, least, image) in frontier.items():
             for a in letters:
                 child, amb = step(cid, a)
                 if child is None:
@@ -301,13 +272,17 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                 key = (child, amb, w if clopen and per_word else None)
                 if key in nxt:
                     nxt[key][0] += n
+                elif not clopen:
+                    nxt[key] = [n, w, None]
+                elif per_word:
+                    nxt[key] = [n, w, _post_image(cover, w)]
                 else:
-                    nxt[key] = [n, w]
+                    nxt[key] = [n, w, diagonal._letter_mask(index, image, a)]
         if clopen and pairs is not None:
-            pairs.append([(w, n, cores[cid][2])
-                          for (cid, _, _), (n, w) in nxt.items()])
+            pairs.append([(w, n, cores[cid][2], lhs)
+                          for (cid, _, _), (n, w, lhs) in nxt.items()])
 
-        for (cid, amb, _), (n, w) in nxt.items():
+        for (cid, amb, _), (n, w, lhs) in nxt.items():
             P, back, a_set, b_set = cores[cid]
 
             # witnesses are callables, rendered only when kept
@@ -365,7 +340,6 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
             # relation-route class sum
             if clopen:
                 rec.count("word_range_projections", n)
-                lhs = post_images[w]
                 if isinstance(lhs, str):
                     rec.fail("word_range_projections", lambda: (
                         f"word {_word_str(cover, w)}: {lhs}"))
@@ -424,9 +398,7 @@ def _split_identities(cover: KriegerCover,
                                    f"{_split_str(cover, derived[i])}"))
             continue
         lhs = diagonal.class_projection(cover, i)
-        rhs = diagonal.empty_set(cover)
-        for img in by_src[i]:
-            rhs = rhs.union(img)
+        rhs = diagonal._union_all(cover, by_src[i])
         outcomes.append(None if lhs == rhs else
                         (False, f"{lhs.render()} != {rhs.render()}"))
     return outcomes
@@ -449,14 +421,17 @@ def _conjugation_outcome(cover: KriegerCover,
     """The identity conj_by_letter(a, F) == cylinder(a) ∩ shift_preimage(F)
     letter by letter: the number of letters counted and the first
     failure, as (letter, detail), or (None, message) for an ambiguity,
-    which stops the count."""
+    which stops the count.  Each letter's conjugate is taken once and
+    serves as the left side and, united in letter order as
+    ``diagonal.shift_preimage`` unites them, as the preimage."""
     counted = 0
     failure = None
     try:
-        lifted = diagonal.shift_preimage(cover, F)
-        for a in cover.alphabet:
+        conjugates = [diagonal.conj_by_letter(cover, a, F)
+                      for a in cover.alphabet]
+        lifted = diagonal._union_all(cover, conjugates)
+        for a, lhs in zip(cover.alphabet, conjugates):
             counted += 1
-            lhs = diagonal.conj_by_letter(cover, a, F)
             rhs = diagonal.cylinder(cover, (a,)).intersect(lifted)
             if failure is None and lhs != rhs:
                 failure = (a, f"{lhs.render()} != {rhs.render()}")
@@ -466,32 +441,23 @@ def _conjugation_outcome(cover: KriegerCover,
     return counted, failure
 
 
-def _check_conjugation(cover: KriegerCover, rec: _Recorder, max_len: int,
-                       post_images: _PostImages | None = None,
-                       pairs: list[list[_Pair]] | None = None) -> None:
-    """conjugation_locality over the words up to ``CLOPEN_WORD_CAP``.
+def _check_conjugation(cover: KriegerCover, rec: _Recorder,
+                       pairs: list[list[_Pair]]) -> None:
+    """conjugation_locality over the words of the word scan's (length,
+    scan state) pairs, ``pairs`` as ``_scan_words`` fills it up to its
+    clopen length.
 
-    The words are those of the word scan's (length, scan state) pairs
-    up to the cap, ``pairs`` as ``_scan_words`` fills it, taken from a
-    scan of their own when not given.  A pair's words are words of the
-    shift exactly when its relation classes are not empty, and they all
-    share the post image F of its least word, read from
-    ``post_images``.  A word reaches the identity only through F, so
-    the outcome is decided once per distinct F and counted per word;
-    the witness is the first failing (word, letter), words in length
-    then lexicographic order, as the pairs come.
+    A pair's words are words of the shift exactly when its relation
+    classes are not empty, and they all share the post image F of its
+    least word, which the pair carries.  A word reaches the identity
+    only through F, so the outcome is decided once per distinct F and
+    counted per word; the witness is the first failing (word, letter),
+    words in length then lexicographic order, as the pairs come.
     """
-    if post_images is None:
-        post_images = _PostImages(cover)
-    cap = min(max_len, CLOPEN_WORD_CAP)
-    if pairs is None:
-        pairs = []
-        _scan_words(cover, cap, cap, post_images, pairs)
     outcomes: dict[int, _ConjugationOutcome] = {}
-    for nu, n, a_set in (p for level in pairs for p in level):
+    for nu, n, a_set, F in (p for level in pairs for p in level):
         if not a_set:
             continue
-        F = post_images[nu]
         if isinstance(F, str):
             rec.fail("conjugation_locality",
                      f"word {_word_str(cover, nu)}: {F}")
@@ -578,10 +544,7 @@ def _range_union(cover: KriegerCover,
     union can differ from the settled form of its refinement.
     """
     if not cover.index.left_resolving:
-        total = diagonal.empty_set(cover)
-        for img in images:
-            total = total.union(img)
-        return total
+        return diagonal._union_all(cover, images)
     masks: dict[Word, int] = {}
     for img in images:
         for w, mask in img.refine(1).masks.items():
@@ -687,9 +650,8 @@ def _check_round_trips(cover: KriegerCover, rec: _Recorder) -> None:
                 f"{sorted(x + 1 for x in b_side)} != prependable "
                 f"classes {sorted(x + 1 for x in a_side)}")
     rec.count("letter_roundtrip")
-    total = diagonal.empty_set(cover)
-    for i in range(cover.class_count):
-        total = total.union(diagonal.class_projection(cover, i))
+    total = diagonal._union_all(cover, (diagonal.class_projection(cover, i)
+                                        for i in range(cover.class_count)))
     if total != diagonal.full_space(cover):
         rec.fail("letter_roundtrip",
                  "class projections do not sum to the whole space")
@@ -727,13 +689,12 @@ def _signatures(masks: list[int], m: int) -> list[int]:
     return sigs
 
 
-def _check_projection_formulas(cover: KriegerCover, rec: _Recorder,
-                               post_images: _PostImages | None = None
-                               ) -> None:
+def _check_projection_formulas(cover: KriegerCover,
+                               rec: _Recorder) -> None:
     """projection_word_formulas: each class projection E_i is the
     product of its formula (``diagonal.express_class_projection``) over
-    the post images of the ``range_witnesses`` words, read from
-    ``post_images``.
+    the post images of the ``range_witnesses`` words, each taken once
+    by ``_post_image``.
 
     Class i's formula takes the table words whose key holds i as
     positive and the rest as negative.  Its product is therefore the
@@ -746,25 +707,25 @@ def _check_projection_formulas(cover: KriegerCover, rec: _Recorder,
     table search starts, and the formula drops that factor unless it is
     i's only positive word, so the signatures leave it out and the
     group of a class in no other key is intersected with the empty
-    word's post image.  That post image walks no edge, so an ambiguous
-    post image belongs to a word every formula names, and every class
-    fails; the witness is the first class's first ambiguous word,
-    positive words first, as a class by class run gives it.
+    word's post image, taken once before the classes are visited.  That
+    post image walks no edge, so an ambiguous post image belongs to a
+    word every formula names, and every class fails; the witness is the
+    first class's first ambiguous word, positive words first, as a class
+    by class run gives it.
     """
-    if post_images is None:
-        post_images = _PostImages(cover)
     m = cover.class_count
     everything = (1 << m) - 1
     table = cover.range_witnesses
-    images = [post_images[w] for w in table.values()]
+    images = {v: _post_image(cover, w) for v, w in table.items()}
     rec.count("projection_word_formulas", m)
-    if any(isinstance(x, str) for x in images):
-        msg = next(x for _, x in sorted(zip(table, images),
+    if any(isinstance(x, str) for x in images.values()):
+        msg = next(x for _, x in sorted(images.items(),
                                         key=lambda vx: not vx[0] & 1)
                    if isinstance(x, str))
         rec.fail("projection_word_formulas", f"class E1: {msg}")
         return
-    rows = [(v, x) for v, x in zip(table, images) if v != everything]
+    empty_image = images[everything]
+    rows = [(v, x) for v, x in images.items() if v != everything]
     signatures = _signatures([x for _, x in rows], m)
     keys = signatures if all(v == x for v, x in rows) else \
         _signatures([v for v, _ in rows], m)
@@ -774,7 +735,7 @@ def _check_projection_formulas(cover: KriegerCover, rec: _Recorder,
     for i, key in enumerate(keys):
         value = groups.get(key, 0)
         if not key:
-            value &= post_images[table[everything]]
+            value &= empty_image
         if value != 1 << i:
             rec.fail("projection_word_formulas", lambda: (
                 f"class E{i + 1}: formula evaluates to "
@@ -831,24 +792,22 @@ def verify_all(cover: KriegerCover, max_len: int = 8) -> Report:
     post image of its least word, and ``conjugation_locality`` once per
     post image of the pairs' least words, counted per word (see
     ``_check_conjugation``).  On a cover that is not left-resolving
-    each word up to the cap is a pair of its own.  Both families, and
-    the projection formulas, read one table of post images, so each
-    post image is taken once per call.
+    each word up to the cap is a pair of its own.  Both families read
+    the post images that the scan carries with its pairs; the
+    projection formulas take those of their table words.
     """
-    post_images = _PostImages(cover)
     pairs: list[list[_Pair]] = []
     rec = _scan_words(cover, max_len,
-                      clopen_len=min(max_len, CLOPEN_WORD_CAP),
-                      post_images=post_images, pairs=pairs)
+                      clopen_len=min(max_len, CLOPEN_WORD_CAP), pairs=pairs)
     derived = _derived_splits(cover)
     images = _range_images(cover)
     outcomes = _split_identities(cover, derived, images)
     _check_class_splitting(cover, rec, outcomes)
-    _check_conjugation(cover, rec, max_len, post_images, pairs)
+    _check_conjugation(cover, rec, pairs)
     _check_ck(cover, rec, derived, outcomes, images)
     _check_edge_sum_structural(cover, rec)
     _check_round_trips(cover, rec)
-    _check_projection_formulas(cover, rec, post_images)
+    _check_projection_formulas(cover, rec)
     return Report(_results(rec, FAMILY_ORDER))
 
 

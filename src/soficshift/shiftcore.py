@@ -29,6 +29,14 @@ EPSILON: Word = ()
 # The test and benchmark inputs reach at most 81 clean words.
 CLEAN_WORD_CAP = 2 ** 13
 
+# Cap on the words of one length in ``words_of_length``.  Each word is
+# a tuple of its letters, about 200 bytes at length 18, and the listing
+# holds two lengths at once, then ``words`` sorts a copy.  On the full
+# 2-shift the 2**18 words of length 18 print at a peak RSS of about
+# 110 MB, and length 19 is refused at about 145 MB; without the cap,
+# length 21 took 770 MB.
+WORD_CAP = 2 ** 18
+
 
 class Alphabet:
     """An ordered finite set of distinct symbol tokens.
@@ -447,6 +455,12 @@ def words_of_length(g: LabeledGraph, k: int) -> set[Word]:
     For essential presentations this is exactly the set of length-k
     words of the presented shift; k = 0 yields the empty word only.
 
+    Raises
+    ------
+    ResourceLimitError
+        If a length up to k has more than ``WORD_CAP`` words; each
+        length is checked as it is listed.
+
     Examples
     --------
     >>> spec = parse_presentation("alphabet 0 1\\nforbid 1 1\\n")
@@ -458,12 +472,16 @@ def words_of_length(g: LabeledGraph, k: int) -> set[Word]:
     if k < 0:
         raise ValueError("word length must be nonnegative")
     frontier: dict[Word, int] = {EPSILON: g.full_mask()}
-    for _ in range(k):
+    for length in range(1, k + 1):
         nxt: dict[Word, int] = {}
         for word, mask in frontier.items():
             for a in g.alphabet:
                 hit = g.successors(a, mask)
                 if hit:
+                    if len(nxt) >= WORD_CAP:
+                        raise ResourceLimitError(
+                            f"word listing exceeds {WORD_CAP} words of "
+                            f"length {length}")
                     nxt[word + (a,)] = hit
         frontier = nxt
     return set(frontier)

@@ -320,10 +320,10 @@ def ladder_text(n):
     return "\n".join(lines) + "\n"
 
 
-# Runs ``soficshift cover`` in a child that first lowers its own
-# address-space limit, so a missing size cap fails with MemoryError
+# Runs the ``soficshift`` command line in a child that first lowers its
+# own address-space limit, so a missing size cap fails with MemoryError
 # there instead of exhausting the machine.
-LIMITED_COVER = textwrap.dedent("""
+LIMITED_CLI = textwrap.dedent("""
     import resource, sys
     limit = int(sys.argv[1])
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -331,16 +331,20 @@ LIMITED_COVER = textwrap.dedent("""
         limit = min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
     from soficshift.cli import main
-    sys.exit(main(["cover", sys.argv[2]]))
+    sys.exit(main(sys.argv[2:]))
 """)
 
 
-def run_limited_cover(path, limit_bytes):
+def run_limited(argv, limit_bytes, timeout=300):
     src = os.path.dirname(os.path.dirname(soficshift.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-c", LIMITED_COVER, str(limit_bytes), path],
-        capture_output=True, text=True, timeout=300, env=env)
+        [sys.executable, "-c", LIMITED_CLI, str(limit_bytes), *argv],
+        capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def run_limited_cover(path, limit_bytes):
+    return run_limited(["cover", path], limit_bytes)
 
 
 class TestResourceLimits:
@@ -404,6 +408,29 @@ class TestResourceLimits:
             "error: forbidden-word compilation exceeds 8192 clean words "
             "of length 7 "), proc.stderr
         assert proc.stdout == ""
+
+    def test_long_word_listing_refused_under_memory_limit(self, write):
+        # the full 2-shift has 2**40 words of length 40; unbounded, the
+        # listing grows to gigabytes, and under this limit it crashed
+        # with exit code 1.  The cap stops it at length 19
+        proc = run_limited(["words", "-k", "40",
+                            write("full2.shift", FULL2_TEXT)],
+                           800_000 * 1024, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: word listing exceeds 262144 words "
+                               "of length 19\n"), proc.stderr
+        assert proc.stdout == ""
+
+    def test_largest_word_listing_within_the_cap_prints(self, write):
+        # the 2**18 words of length 18, the most the cap allows
+        proc = run_limited(["words", "-k", "18",
+                            write("full2.shift", FULL2_TEXT)],
+                           800_000 * 1024, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 ** 18
+        assert (lines[0], lines[-1]) == (" ".join("0" * 18),
+                                         " ".join("1" * 18))
 
     def test_pair_state_cap_exits_2(self, write, capsys, monkeypatch):
         import soficshift.krieger as kr

@@ -11,11 +11,11 @@ by their signatures over the post images, must record the same
 corrupted, and on generated presentations.  ``fold_union`` unites the
 mapped range projections one at a time, as range_projection_partition
 did before ``isocheck._range_union`` united them in one step on
-left-resolving covers.  Within one ``verify_all`` call, the word scan,
-the conjugation check and the formulas share one table of post images
-(``isocheck._PostImages``), so each word's post image is taken once,
-on a left-resolving cover from its prefix's, and there only for the
-least word of each of the word scan's (length, scan state) pairs.
+left-resolving covers.  The word scan carries the post image of the
+least word of each of its (length, scan state) pairs, on a
+left-resolving cover one forward letter step from the pair before,
+and the conjugation check reads it there; each carried value must be
+the one ``diagonal.post_image`` gives the word on its own.
 """
 
 import random
@@ -37,12 +37,12 @@ from test_word_scan import (recorded, slow_rounds, slow_scan_words,
 
 # --- the slow references ------------------------------------------------
 
-def slow_check_conjugation(cover, rec, max_len, post_images=None,
-                           pairs=None):
+def slow_check_conjugation(cover, rec, pairs):
     """``isocheck._check_conjugation`` word by word over the words of
-    the presentation graph, each post image taken anew (``post_images``
-    and ``pairs`` are not read)."""
-    cap = min(max_len, CLOPEN_WORD_CAP)
+    the presentation graph, each post image taken anew.  Of ``pairs``
+    only the number of lengths is read: it runs up to the scan's clopen
+    length."""
+    cap = len(pairs) - 1
     words = [EPSILON]
     for k in range(1, cap + 1):
         words.extend(sorted(words_of_length(cover.graph, k)))
@@ -65,11 +65,10 @@ def slow_check_conjugation(cover, rec, max_len, post_images=None,
                      f"word {_word_str(cover, nu)}: {exc}")
 
 
-def slow_check_projection_formulas(cover, rec, post_images=None,
-                                   post_image=None):
+def slow_check_projection_formulas(cover, rec, post_image=None):
     """``isocheck._check_projection_formulas`` class by class, each
     formula word's post image taken anew by ``post_image`` (by default
-    ``diagonal.post_image``; ``post_images`` is not read)."""
+    ``diagonal.post_image``)."""
     post_image = post_image or diagonal.post_image
     for i in range(cover.class_count):
         rec.count("projection_word_formulas")
@@ -98,9 +97,18 @@ def fold_union(cover, images):
     return total
 
 
+def scan_pairs(cover, max_len):
+    """The pairs of the word scan up to ``max_len`` and the cap, as
+    ``verify_all`` hands them to the conjugation check."""
+    cap = min(max_len, CLOPEN_WORD_CAP)
+    pairs = []
+    isocheck._scan_words(cover, cap, cap, pairs=pairs)
+    return pairs
+
+
 def conjugation(check, cover, max_len):
     rec = _Recorder()
-    check(cover, rec, max_len)
+    check(cover, rec, scan_pairs(cover, max_len))
     return (rec.checked.get("conjugation_locality", 0),
             rec.witness.get("conjugation_locality"))
 
@@ -287,12 +295,38 @@ class TestDecidedOncePerPostImage:
         shared = 0
         for name, cover in corpus + randoms:
             decided.clear()
-            isocheck._check_conjugation(cover, _Recorder(), 4)
+            conjugation(isocheck._check_conjugation, cover, 4)
             images, ambiguous = post_images(cover, 4)
             assert len(decided) == len(set(decided)), name
             assert set(decided) == images, name
             shared += len(images) + ambiguous < len(clopen_words(cover, 4))
         assert shared > 0
+
+    def test_each_letter_conjugated_once(self, corpus, randoms,
+                                         monkeypatch):
+        # the conjugates serve both sides of the identity, and the
+        # preimage unites them in letter order
+        decided, conjugated = [], []
+        real_outcome = isocheck._conjugation_outcome
+        real_conj = diagonal.conj_by_letter
+
+        def outcome(cover, F):
+            decided.append(F)
+            return real_outcome(cover, F)
+
+        def conj(cover, a, F):
+            conjugated.append((a, F))
+            return real_conj(cover, a, F)
+
+        monkeypatch.setattr(isocheck, "_conjugation_outcome", outcome)
+        monkeypatch.setattr(diagonal, "conj_by_letter", conj)
+        for name, cover in corpus + randoms:
+            pairs = scan_pairs(cover, 4)
+            decided.clear()
+            conjugated.clear()
+            isocheck._check_conjugation(cover, _Recorder(), pairs)
+            assert conjugated == [(a, F) for F in decided
+                                  for a in cover.alphabet], name
 
     def test_post_image_once_per_table_word(self, corpus, randoms,
                                             monkeypatch):
@@ -304,42 +338,32 @@ class TestDecidedOncePerPostImage:
             isocheck._check_projection_formulas(cover, _Recorder())
             table = list(cover.range_witnesses.values())
             assert taken == table, name
-            # a left-resolving cover steps each word from its prefix;
-            # any other walks each word backward from all classes once
+            # a left-resolving cover walks each word forward; any other
+            # walks each word backward from all classes once
             assert walked == ([] if cover.is_left_resolving() else table), \
                 name
             several += cover.class_count > 1
         assert several > 0
 
-    def test_verify_takes_each_post_image_once(self, corpus, randoms,
-                                                monkeypatch):
-        taken, walked = count_post_images(monkeypatch)
+    def test_backward_walks(self, corpus, randoms, monkeypatch):
+        # verify walks no word backward on a left-resolving cover; on
+        # any other the scan walks each of its words up to the cap
+        # once, the words of the shift among them
+        _, walked = count_post_images(monkeypatch)
         kinds = set()
-        shared = 0
         for name, cover in corpus + randoms:
-            taken.clear()
             walked.clear()
-            verify_all(cover, max_len=4)
-            assert len(taken) == len(set(taken)), name
-            table = set(cover.range_witnesses.values())
             if cover.is_left_resolving():
-                # the word scan takes the post image of each pair's
-                # least word, the conjugation check adds the empty
-                # word's and the formulas those of the table words
-                least = scan_least_words(cover, 4)
-                assert set(taken) == {EPSILON} | least | table, name
-                shared += len(least) < len(clopen_words(cover, 4)) - 1
+                verify_all(cover, max_len=4)
+                assert walked == [], name
             else:
-                # every word the clopen families reach goes through the
-                # graph route
-                assert set(clopen_words(cover, 4)) <= set(taken), name
-                assert table <= set(taken), name
-            # and no backward walk bypasses the table
-            assert walked == ([] if cover.is_left_resolving() else taken), \
-                name
+                pairs = scan_pairs(cover, 4)
+                words = [w for level in pairs[1:] for w, *_ in level]
+                assert walked == words, name
+                assert len(set(words)) == len(words), name
+                assert set(clopen_words(cover, 4)[1:]) <= set(words), name
             kinds.add(cover.is_left_resolving())
         assert kinds == {True, False}
-        assert shared > 0
 
 
 def scan_least_words(cover, max_len):
@@ -380,23 +404,23 @@ def scan_least_words(cover, max_len):
 
 
 def count_post_images(monkeypatch):
-    """Record the words whose post image the table takes
-    (``_PostImages.__missing__``) and the words ``diagonal.post_image``
-    walks, in call order."""
+    """Record the words whose post image ``isocheck._post_image`` takes
+    and the words ``diagonal._sources`` walks backward, in call
+    order."""
     taken, walked = [], []
-    real_missing = isocheck._PostImages.__missing__
-    real_post_image = diagonal.post_image
-
-    def missing(self, word):
-        taken.append(word)
-        return real_missing(self, word)
+    real_post_image = isocheck._post_image
+    real_sources = diagonal._sources
 
     def post_image(cover, word):
-        walked.append(word)
+        taken.append(word)
         return real_post_image(cover, word)
 
-    monkeypatch.setattr(isocheck._PostImages, "__missing__", missing)
-    monkeypatch.setattr(diagonal, "post_image", post_image)
+    def sources(cover, word, mask):
+        walked.append(word)
+        return real_sources(cover, word, mask)
+
+    monkeypatch.setattr(isocheck, "_post_image", post_image)
+    monkeypatch.setattr(diagonal, "_sources", sources)
     return taken, walked
 
 
@@ -409,43 +433,45 @@ def graph_route(cover, word):
         return str(exc)
 
 
-class TestPrefixMemo:
-    def test_masks_match_graph_route(self, corpus, randoms):
-        # longest words first, so that each walk starts from all
-        # classes and leaves its prefixes in the table
-        kinds = set()
+class TestCarriedPostImages:
+    def test_carried_values_match_graph_route(self, corpus, randoms):
+        # every pair's carried post image is its least word's own; on a
+        # left-resolving cover the pairs' least words are those of a
+        # word by word scan, and on any other each word is a pair of
+        # its own, as the per-word scan hands them on
+        kinds, ambiguous, shared = set(), 0, 0
         for name, cover in corpus + randoms:
-            table = isocheck._PostImages(cover)
-            words = clopen_words(cover, 4)[::-1]
-            for w in words:
-                assert table[w] == graph_route(cover, w), (name, w)
+            pairs = scan_pairs(cover, CLOPEN_WORD_CAP)
+            assert len(pairs) == CLOPEN_WORD_CAP + 1, name
+            for level in pairs:
+                for w, _, _, image in level:
+                    assert image == graph_route(cover, w), (name, w)
+                    ambiguous += isinstance(image, str)
+            least = {w for level in pairs[1:] for w, *_ in level}
             if cover.is_left_resolving():
-                assert all(w[:k] in table for w in words
-                           for k in range(len(w))), name
+                assert least == scan_least_words(cover, CLOPEN_WORD_CAP), \
+                    name
+                shared += len(least) < len(
+                    clopen_words(cover, CLOPEN_WORD_CAP)) - 1
+            else:
+                slow = []
+                slow_scan_words(cover, CLOPEN_WORD_CAP, CLOPEN_WORD_CAP,
+                                slow)
+                assert pairs == slow, name
             kinds.add(cover.is_left_resolving())
         assert kinds == {True, False}
-
-    def test_prefixes_kept_without_requests(self, corpus, monkeypatch):
-        taken, _ = count_post_images(monkeypatch)
-        for name, cover in corpus:
-            if not cover.is_left_resolving():
-                continue
-            longest = clopen_words(cover, 4)[-1]
-            table = isocheck._PostImages(cover)
-            taken.clear()
-            table[longest]
-            assert taken == [longest], name
-            assert set(table) == {longest[:k]
-                                  for k in range(1, len(longest) + 1)}, name
+        assert ambiguous > 0
+        assert shared > 0
 
 
 def doctored(cover, rng):
-    """A post image table of the formula words with some masks changed
-    by one class and the empty word's made to miss one class, and a
-    ``post_image`` that reads it."""
-    table = isocheck._PostImages(cover)
+    """The post images of the formula words with some masks changed by
+    one class and the empty word's made to miss one class, and a
+    ``post_image`` that reads them."""
     m = cover.class_count
-    for w in cover.range_witnesses.values():
+    table = {w: graph_route(cover, w)
+             for w in cover.range_witnesses.values()}
+    for w in table:
         if isinstance(table[w], int) and rng.random() < 0.3:
             table[w] ^= 1 << rng.randrange(m)
     if rng.random() < 0.5:
@@ -459,6 +485,13 @@ def doctored(cover, rng):
     return table, read
 
 
+def read_post_images(monkeypatch):
+    """Make ``isocheck._post_image`` read the returned table."""
+    table = {}
+    monkeypatch.setattr(isocheck, "_post_image", lambda cover, w: table[w])
+    return table
+
+
 class TestFormulasAsOnePartition:
     @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1100])
     def test_signatures_across_chunks(self, rows):
@@ -470,16 +503,19 @@ class TestFormulasAsOnePartition:
                     for j in range(m)]
         assert isocheck._signatures(masks, m) == expected
 
-    def test_doctored_tables(self, corpus):
+    def test_doctored_tables(self, corpus, monkeypatch):
         # keys and post images differ, groups hold several classes or
         # none, and the empty word's post image misses classes
         rng = random.Random(1919)
+        read_table = read_post_images(monkeypatch)
         outcomes = set()
         for name, cover in corpus:
             for _ in range(6):
                 table, read = doctored(cover, rng)
+                read_table.clear()
+                read_table.update(table)
                 rec, ref = _Recorder(), _Recorder()
-                isocheck._check_projection_formulas(cover, rec, table)
+                isocheck._check_projection_formulas(cover, rec)
                 slow_check_projection_formulas(cover, ref, post_image=read)
                 assert (rec.checked, rec.witness) == \
                     (ref.checked, ref.witness), name
@@ -487,9 +523,10 @@ class TestFormulasAsOnePartition:
                     "projection_word_formulas", "PASS")[:13])
         assert {"PASS", "class E1: for", "class E1: two"} <= outcomes
 
-    def test_empty_word_factor_kept_alone(self, corpus):
+    def test_empty_word_factor_kept_alone(self, corpus, monkeypatch):
         # a class in no key but the all-classes one keeps the empty
         # word's factor: a table whose empty word misses it fails it
+        read_table = read_post_images(monkeypatch)
         met = 0
         for name, cover in corpus:
             full = (1 << cover.class_count) - 1
@@ -499,11 +536,13 @@ class TestFormulasAsOnePartition:
             alone = full & ~others
             if not alone or cover.class_count < 2:
                 continue
-            table = isocheck._PostImages(cover)
+            read_table.clear()
+            read_table.update((w, graph_route(cover, w))
+                              for w in cover.range_witnesses.values())
             i = (alone & -alone).bit_length() - 1
-            table[EPSILON] = full & ~(1 << i)
+            read_table[EPSILON] = full & ~(1 << i)
             rec = _Recorder()
-            isocheck._check_projection_formulas(cover, rec, table)
+            isocheck._check_projection_formulas(cover, rec)
             assert rec.witness["projection_word_formulas"].startswith(
                 f"class E{i + 1}: "), name
             met += 1

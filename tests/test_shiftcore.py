@@ -259,6 +259,18 @@ class TestWords:
                 shorter = words_of_length(g, k)
                 assert {w[:-1] for w in longer} <= shorter, name
 
+    def test_cap_on_words_of_one_length(self, golden_graph, monkeypatch):
+        # 21 golden mean words of length 6: a cap of 21 lists them, a
+        # cap of 20 refuses them (and the 13 of length 5 pass)
+        import soficshift.shiftcore as shiftcore
+        monkeypatch.setattr(shiftcore, "WORD_CAP", 21)
+        assert len(words_of_length(golden_graph, 6)) == 21
+        monkeypatch.setattr(shiftcore, "WORD_CAP", 20)
+        with pytest.raises(ResourceLimitError,
+                           match="^word listing exceeds 20 words of "
+                                 "length 6$"):
+            words_of_length(golden_graph, 6)
+
 
 class TestAdmissibility:
     def test_even_101_inadmissible(self, even_graph):

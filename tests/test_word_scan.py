@@ -32,7 +32,7 @@ WORD_FAMILIES = ("word_path_equivalence", "shifted_cylinder_classes",
 
 # --- the slow reference -------------------------------------------------
 
-def slow_scan_rounds(cover, max_len, clopen_len):
+def slow_scan_rounds(cover, max_len, clopen_len, pairs=None):
     """The per-word scan: one pass over all admissible words up to
     ``max_len`` computing the word-indexed families.  After each length
     it yields the recorder so far and the path relation of every word
@@ -41,7 +41,11 @@ def slow_scan_rounds(cover, max_len, clopen_len):
     Per word the relation route keeps the backward preimage of every
     realized survivor set, extended one letter at a time through the
     prepend map; the graph route keeps the unique backward path data
-    and the forward path ends on the cover.
+    and the forward path ends on the cover.  If ``pairs`` is given,
+    every word met and not pruned up to ``clopen_len`` is appended to
+    it as a pair of its own, (word, 1, relation classes, post image
+    mask or ambiguity message), one list per length from the empty
+    word's.
     """
     rec = _Recorder()
     m = cover.class_count
@@ -65,9 +69,14 @@ def slow_scan_rounds(cover, max_len, clopen_len):
     frontier = {EPSILON: start}
     rels = {
         EPSILON: frozenset((i, i) for i in range(m))}
+    if pairs is not None:
+        pairs.append([(EPSILON, 1, sum(1 << i for i in range(m)
+                                       if class_masks[i]),
+                       class_mask(diagonal.post_image(cover, EPSILON)))])
 
-    for _ in range(max_len):
+    for k in range(1, max_len + 1):
         nxt = {}
+        level = []
         for word, (P, back, fwd) in frontier.items():
             for a in letters:
                 w = word + (a,)
@@ -162,18 +171,28 @@ def slow_scan_rounds(cover, max_len, clopen_len):
                         rhs = diagonal.ClopenSet(
                             cover, 0, [(EPSILON, i) for i in a_set],
                             validate=False)
+                        image = class_mask(lhs)
                         if lhs != rhs:
                             rec.fail("word_range_projections", lambda: (
                                 f"word {_word_str(cover, w)}: "
                                 f"{lhs.render()} != {rhs.render()}"))
                     except AmbiguousLabelError as exc:
+                        image = str(exc)
                         rec.fail("word_range_projections", lambda: (
                             f"word {_word_str(cover, w)}: {exc}"))
+                    level.append((w, 1, sum(1 << i for i in a_set), image))
 
                 nxt[w] = (P2, back2, fwd2)
         frontier = nxt
+        if pairs is not None and k <= clopen_len:
+            pairs.append(level)
         yield rec, rels
 
+
+
+def class_mask(F):
+    """The classes of a depth-0 clopen set, as a bitmask."""
+    return sum(1 << i for _, i in F.cells)
 
 
 def recorded(rec):
@@ -182,13 +201,11 @@ def recorded(rec):
             {fam: rec.witness.get(fam) for fam in WORD_FAMILIES})
 
 
-def slow_scan_words(cover, max_len, clopen_len, post_images=None,
-                    pairs=None):
+def slow_scan_words(cover, max_len, clopen_len, pairs=None):
     """``isocheck._scan_words`` by the per-word scan, which takes each
-    post image anew and so ignores ``post_images``; ``pairs`` is not
-    filled."""
+    post image anew; ``pairs`` is filled with one pair per word."""
     rec = _Recorder()
-    for rec, _ in slow_scan_rounds(cover, max_len, clopen_len):
+    for rec, _ in slow_scan_rounds(cover, max_len, clopen_len, pairs):
         pass
     for fam in WORD_FAMILIES:
         rec.count(fam, 0)
@@ -362,12 +379,13 @@ class TestGraphWords:
                         spurious += 1
                 assert met == words, (name, k)
                 # pair by pair, as the scan hands them on
-                graph = [(w, n) for w, n, a_set in pairs[k] if a_set]
+                graph = [(w, n) for w, n, a_set, _ in pairs[k] if a_set]
                 assert sum(n for _, n in graph) == len(words), (name, k)
                 assert {w for w, _ in graph} <= words, (name, k)
                 if not cover.is_left_resolving():
                     assert {w for w, _ in graph} == words, (name, k)
-            assert pairs[0] == [(EPSILON, 1, (1 << m) - 1)], name
+            assert pairs[0] == [(EPSILON, 1, (1 << m) - 1, (1 << m) - 1)], \
+                name
         assert spurious > 0
 
 
