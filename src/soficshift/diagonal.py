@@ -11,10 +11,20 @@ set identity decidable.
 A union is stored as one bitmask over classes per word, all words of
 one depth: ``{w: mask}`` holds the cells w·E_i for the bits i of the
 mask.  Union, intersection and complement are then ``|``, ``&`` and
-``& ~`` per word; refining maps a class mask to one mask per letter,
-the union of the out-splits of its classes; and merging back asks, per
-prefix, whether the per-letter masks are exactly a union of whole
-out-splits.  Both answers are memoized by mask on the cover's index.
+``& ~`` per word.  Refining maps a class mask to one mask per letter,
+the union of the out-splits of its classes: class j is in the mask of
+letter a exactly when a source of one of j's in-edges labeled a is in
+the mask, so each letter is a gather of the mask's binary string by
+the index's in-edge source tables, one per rank (one on a
+left-resolving cover).  Merging back asks, per prefix, whether the
+per-letter masks are exactly a union of whole out-splits.  On a
+left-resolving cover the cell (a, k) has one possible owner, the
+source of k's in-edge labeled a, so the merge is the set of those
+sources if their out-edges are as many as the cells; other covers
+test which classes' out-splits tile the masks.  Both answers are
+memoized by mask on the cover's index.  A union of many sets is refined to their
+greatest depth, united and settled once where that reaches the form
+that uniting them one at a time does (see ``_union_all``).
 
 The noncommutative generators of the ambient algebra act on this
 model through :func:`conj_by_letter` (conjugation by a letter's
@@ -24,9 +34,10 @@ directly.
 
 Every step through the cover reads the cover's adjacency index
 (:class:`~soficshift.krieger.CoverIndex`: out-edges, out-split masks,
-edges by range and label, and the memos above), built once per cover
-instance on first use, so no operation scans the edge tuple.  A cover
-made by ``with_edges`` or ``dataclasses.replace`` builds its own index.
+edges by range and label, in-edge source tables, and the memos above),
+built once per cover instance on first use, so no operation scans the
+edge tuple.  A cover made by ``with_edges`` or ``dataclasses.replace``
+builds its own index.
 
 Examples
 --------
@@ -126,15 +137,21 @@ def word_classes(cover: KriegerCover, word: Word) -> frozenset[int]:
 def _letter_masks(index: CoverIndex,
                   mask: int) -> tuple[tuple[int, int], ...]:
     # one refinement step of the classes of ``mask``: (letter, mask of
-    # the ranges of their out-edges with that letter) pairs
+    # the ranges of their out-edges with that letter) pairs in letter
+    # order.  Class j is a range on letter a exactly when one of its
+    # in-edge sources on a is in ``mask``: one gather per rank over the
+    # mask's binary string (see CoverIndex.gathers).
     memo = index.refine_memo
     if mask not in memo:
-        split_masks = index.split_masks
-        by_letter: dict[int, int] = {}
-        for i in _bits(mask):
-            for a, sub in split_masks.get(i, ()):
-                by_letter[a] = by_letter.get(a, 0) | sub
-        memo[mask] = tuple(by_letter.items())
+        bits = format(mask, f"0{index.class_count}b") + "0"
+        out = []
+        for a, gets in index.gathers.items():
+            sub = 0
+            for get in gets:
+                sub |= int("".join(get(bits)), 2)
+            if sub:
+                out.append((a, sub))
+        memo[mask] = tuple(out)
     return memo[mask]
 
 
@@ -154,25 +171,56 @@ def _split_owners(index: CoverIndex,
     # labeled a into class k can own the pair (a, k).
     memo = index.merge_memo
     if key not in memo:
-        letters = dict(key)
-        owners = 0
-        for a, mask in key:
-            for k in _bits(mask):
-                for e in index.by_range_label.get((k, a), ()):
-                    owners |= 1 << e.src
-        chosen = count = 0
-        covered: dict[int, int] = {}
-        for i in _bits(owners):
-            split = index.split_masks[i]
-            if all(letters.get(a, 0) & sub == sub for a, sub in split):
-                chosen |= 1 << i
-                for a, sub in split:
-                    count += sub.bit_count()
-                    covered[a] = covered.get(a, 0) | sub
-        total = sum(mask.bit_count() for mask in letters.values())
-        memo[key] = chosen if count == total and covered == letters \
-            else None
+        memo[key] = (_gathered_owners if index.left_resolving
+                     else _tiling_owners)(index, key)
     return memo[key]
+
+
+def _gathered_owners(index: CoverIndex,
+                     key: tuple[tuple[int, int], ...]) -> int | None:
+    # On a left-resolving cover the pair (a, k) has one possible owner,
+    # the source of k's in-edge labeled a, and none if k has no such
+    # edge.  The out-splits of those owners hold every cell of the key
+    # and are disjoint, one cell per out-edge, so they tile the key
+    # exactly when their out-edges are as many as its cells.
+    sources = index.sources
+    owners: set[int] = set()
+    cells = 0
+    for a, mask in key:
+        tables = sources.get(a)
+        if tables is None:
+            return None
+        owners.update(map(tables[0].__getitem__, _bits(mask)))
+        cells += mask.bit_count()
+    if -1 in owners:
+        return None
+    out = index.out
+    if sum(len(out[i]) for i in owners) != cells:
+        return None
+    return sum(1 << i for i in owners)
+
+
+def _tiling_owners(index: CoverIndex,
+                   key: tuple[tuple[int, int], ...]) -> int | None:
+    # on any cover: the classes whose whole out-splits lie in the key,
+    # if together they cover it exactly and without overlap
+    letters = dict(key)
+    owners = 0
+    for a, mask in key:
+        for k in _bits(mask):
+            for e in index.by_range_label.get((k, a), ()):
+                owners |= 1 << e.src
+    chosen = count = 0
+    covered: dict[int, int] = {}
+    for i in _bits(owners):
+        split = index.split_masks[i]
+        if all(letters.get(a, 0) & sub == sub for a, sub in split):
+            chosen |= 1 << i
+            for a, sub in split:
+                count += sub.bit_count()
+                covered[a] = covered.get(a, 0) | sub
+    total = sum(mask.bit_count() for mask in letters.values())
+    return chosen if count == total and covered == letters else None
 
 
 def _merge_once(index: CoverIndex, masks: Masks) -> Masks | None:
@@ -424,11 +472,35 @@ def shift_preimage(cover: KriegerCover, F: ClopenSet) -> ClopenSet:
 
 
 def _union_all(cover: KriegerCover, sets: Iterable[ClopenSet]) -> ClopenSet:
-    # the union of ``sets`` folded in their order, each union settled
-    out = empty_set(cover)
+    # The union of ``sets``, as folding them in their order, settling
+    # each union, gives it.  A merge succeeds only when the chosen
+    # out-splits cover the per-letter masks exactly, so refining a
+    # settled union gives back the masks it was settled from, and the
+    # fold's refinement to the greatest depth is the union of the sets'
+    # refinements.  Where out-splits are disjoint and none is empty (a
+    # left-resolving cover on which every class has an out-edge), a
+    # merge of a refinement gives back the masks refined, so every
+    # order of refining, uniting and settling reaches one form: the
+    # sets are refined to the greatest depth, united and settled once.
+    # Other covers keep the fold.  Where out-splits overlap, a settled
+    # union can differ from the settled form of its refinement; and a
+    # class without out-edges drops out of a refinement, so there the
+    # form depends on the depths the fold passes through.
+    index = cover.index
+    if not index.left_resolving or len(index.split_masks) < cover.class_count:
+        out = empty_set(cover)
+        for F in sets:
+            out = out.union(F)
+        return out
+    sets = list(sets)
+    if any(F.cover is not cover for F in sets):
+        raise ValueError("operands live over different covers")
+    depth = max((F.depth for F in sets), default=0)
+    masks: Masks = {}
     for F in sets:
-        out = out.union(F)
-    return out
+        for w, mask in F.refine(depth).masks.items():
+            masks[w] = masks.get(w, 0) | mask
+    return ClopenSet._of(cover, depth, masks)
 
 
 def diagonal_generator(cover: KriegerCover, mu: Word, nu: Word) -> ClopenSet:

@@ -26,7 +26,8 @@ and range_projection_partition share.  Range projection orthogonality
 groups the edges by the depth-1 cells of their images and by their
 (label, range) pairs; every pair in a group fails, so only the least
 such pair is intersected, for its witness.  On a left-resolving cover
-the partition unites the images in one step.
+on which every class has an out-edge the partition unites the images
+in one step.
 The memo tables are locals of one call, and each witness is the one a
 word by word, class by class, pair by pair run gives.
 
@@ -177,15 +178,18 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     map, and the graph route's backward map (end class -> source class
     of the unique path).  The backward map also gives the forward path
     ends: both start at every class, and a letter keeps a class exactly
-    when one of its sources on that letter is kept.  Its scan state
-    adds the class where two paths labeled the word end, if any.  Every
-    word-indexed check depends only on the scan state, so it is decided
-    once per (length, state) pair and counted once per word reaching
-    the pair.  Pairs are taken in the order of their least words: by
-    length, then lexicographically, with pruned words (those that
-    precede no class by either route) never extended.  A family's
-    witness is thus the least word of its first failing pair, the first
-    failing word.
+    when one of its sources on that letter is kept.  A letter step of
+    the preimages is a gather by the prepend map; where the letter has
+    one in-edge source table (every letter of a left-resolving cover),
+    so is the step of the backward map, and no two paths meet.  Its
+    scan state adds the class where two paths labeled the word end, if
+    any.  Every word-indexed check depends only on the scan state, so
+    it is decided once per (length, state) pair and counted once per
+    word reaching the pair.  Pairs are taken in the order of their
+    least words: by length, then lexicographically, with pruned words
+    (those that precede no class by either route) never extended.  A
+    family's witness is thus the least word of its first failing pair,
+    the first failing word.
 
     Up to ``clopen_len`` ``word_range_projections`` compares the post
     image of the pair's least word with the relation route.  That post
@@ -209,7 +213,7 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     m = cover.class_count
     realized, prepend = cover.realized, cover.prepend
     index = cover.index
-    into = index.sources_by_label
+    sources = index.sources
     per_word = not index.left_resolving
     letters = list(cover.alphabet)
     # core id -> (preimage per slot of cover.realized, back (-1: no
@@ -233,21 +237,28 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
 
     def step(cid: int, a: int) -> tuple[int | None, int | None]:
         # the core after letter a (None if pruned), and the class where
-        # two paths meet on a, the last such in edge order
+        # two paths meet on a, the last such in edge order.  A slot or
+        # class without a preimage or source on a reads the appended 0
+        # or -1.
         if (cid, a) not in steps:
             P, back = cores[cid][:2]
-            back2 = [-1] * m
+            tables = sources.get(a, ())
             met = None
-            for dst, srcs in into.get(a, ()):
-                live = [s for s in srcs if back[s] >= 0]
-                if live:
-                    back2[dst] = min(back[s] for s in live)
-                    if len(live) > 1 and (met is None
-                                          or (live[-1], dst) > met):
-                        met = (live[-1], dst)
+            if len(tables) < 2:
+                back2 = tuple(map((back + (-1,)).__getitem__,
+                                  tables[0])) if tables else (-1,) * m
+            else:
+                back2 = [-1] * m
+                for dst, srcs in enumerate(zip(*tables)):
+                    live = [s for s in srcs if s >= 0 and back[s] >= 0]
+                    if live:
+                        back2[dst] = min(back[s] for s in live)
+                        if len(live) > 1 and (met is None
+                                              or (live[-1], dst) > met):
+                            met = (live[-1], dst)
+                back2 = tuple(back2)
             steps[cid, a] = (
-                core(tuple(P[r] if r >= 0 else 0 for r in prepend[a]),
-                     tuple(back2)),
+                core(tuple(map((P + (0,)).__getitem__, prepend[a])), back2),
                 None if met is None else met[1])
         return steps[cid, a]
 
@@ -528,30 +539,6 @@ def _check_orthogonality(cover: KriegerCover, rec: _Recorder,
                  f"overlap on {meet.render()}")
 
 
-def _range_union(cover: KriegerCover,
-                 images: list[ClopenSet]) -> ClopenSet:
-    """The union of the mapped range projections, for
-    range_projection_partition.
-
-    On a left-resolving cover the depth-1 masks of all images are
-    united at once and settled once.  A merge succeeds only when the
-    chosen out-splits cover the per-letter masks exactly, so refining a
-    settled union gives back the masks it was settled from, and folding
-    the images in one at a time, settling after each union, reaches the
-    same depth-1 masks.  Out-splits of a left-resolving cover are
-    disjoint, so those masks settle alike on either path.  Other covers
-    keep the fold, in edge order: where out-splits overlap, a depth-0
-    union can differ from the settled form of its refinement.
-    """
-    if not cover.index.left_resolving:
-        return diagonal._union_all(cover, images)
-    masks: dict[Word, int] = {}
-    for img in images:
-        for w, mask in img.refine(1).masks.items():
-            masks[w] = masks.get(w, 0) | mask
-    return ClopenSet._of(cover, 1, masks)
-
-
 def _check_ck(cover: KriegerCover, rec: _Recorder,
               derived: list[set[tuple[int, int]]],
               outcomes: list[_SplitOutcome],
@@ -561,8 +548,9 @@ def _check_ck(cover: KriegerCover, rec: _Recorder,
     the split identities in ``outcomes``, and the partition of the
     whole space.  The partition compares the (label, range) cells of
     the edges with the prepend-derived ones and, where they agree,
-    unites the images by ``_range_union``: in one step on a
-    left-resolving cover, one at a time on any other.
+    unites the images by ``diagonal._union_all``: in one step on a
+    left-resolving cover on which every class has an out-edge, one at
+    a time on any other.
     """
     edges = cover.edges
     _check_orthogonality(cover, rec, images)
@@ -593,7 +581,7 @@ def _check_ck(cover: KriegerCover, rec: _Recorder,
             f"depth-1 cells from edges {_split_str(cover, cover_cells)} "
             f"!= derived cells {_split_str(cover, derived_cells)}")
     else:
-        total = _range_union(cover, images)
+        total = diagonal._union_all(cover, images)
         if total != diagonal.full_space(cover):
             rec.fail("range_projection_partition",
                      f"union of range projections is "

@@ -36,6 +36,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
@@ -367,30 +368,41 @@ def past_partition(
 
 
 class CoverIndex:
-    """Adjacency of one tuple of cover edges, each group in edge order.
+    """Adjacency of one tuple of cover edges over ``class_count``
+    classes, each group in edge order.
 
     ``out[i]`` and ``into[i]`` hold the edges leaving and entering
     class i, ``by_range_label[(i, a)]`` the edges labeled a into class
-    i (one on a left-resolving cover), ``sources_by_label[a]`` the same
-    groups for label a as (range, sources in edge order) pairs, which
-    the word scan of :mod:`soficshift.isocheck` reads,
-    ``split_masks[i]`` the out-split of class i as (letter, bitmask of
-    the ranges of its edges with that letter) pairs in letter order, and
-    ``entered[a]`` the bitmask of the classes that an edge labeled a
-    enters.  Classes and letters without
+    i (one on a left-resolving cover), ``split_masks[i]`` the out-split
+    of class i as (letter, bitmask of the ranges of its edges with that
+    letter) pairs in letter order, and ``entered[a]`` the bitmask of the
+    classes that an edge labeled a enters.  Classes and letters without
     such edges are absent from the maps.  ``left_resolving`` tells
     whether every (range, label) group holds one edge.
+
+    ``sources[a]`` holds the in-edge source tables of letter a, one per
+    rank r: entry j of table r is the source of the r-th edge labeled a
+    into class j, or -1 if there are fewer.  A left-resolving cover has
+    one table per letter, so there a letter step of a set of classes is
+    a gather: class j is reached exactly when its entry is in the set.
+    ``gathers[a]`` holds the same tables as ``operator.itemgetter``
+    objects over the binary string of a class mask, ``class_count``
+    digits with a "0" appended: position ``class_count - 1 - j`` holds
+    class j, and a missing source reads the appended "0".  The word
+    scan of :mod:`soficshift.isocheck` and the clopen engine of
+    :mod:`soficshift.diagonal` step by them.
 
     ``refine_memo`` and ``merge_memo`` are the clopen engine's memos
     keyed by class bitmasks (see :mod:`soficshift.diagonal`); they live
     here so that nothing outlives the cover.
     """
 
-    __slots__ = ("out", "into", "by_range_label", "sources_by_label",
-                 "left_resolving", "split_masks", "entered", "refine_memo",
-                 "merge_memo")
+    __slots__ = ("class_count", "out", "into", "by_range_label",
+                 "left_resolving", "split_masks", "entered", "sources",
+                 "gathers", "refine_memo", "merge_memo")
 
-    def __init__(self, edges: Iterable[Edge]):
+    def __init__(self, edges: Iterable[Edge], class_count: int):
+        m = self.class_count = class_count
         out: dict[int, list[Edge]] = {}
         into: dict[int, list[Edge]] = {}
         by_range_label: dict[tuple[int, int], list[Edge]] = {}
@@ -404,10 +416,6 @@ class CoverIndex:
         self.into = {i: tuple(es) for i, es in into.items()}
         self.by_range_label = {k: tuple(es)
                                for k, es in by_range_label.items()}
-        sources: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for (dst, a), es in self.by_range_label.items():
-            sources.setdefault(a, []).append((dst, tuple(e.src for e in es)))
-        self.sources_by_label = {a: tuple(v) for a, v in sources.items()}
         self.left_resolving = all(len(es) == 1
                                   for es in by_range_label.values())
         self.entered = entered
@@ -417,6 +425,19 @@ class CoverIndex:
             for e in es:
                 split[e.label] = split.get(e.label, 0) | 1 << e.dst
             self.split_masks[i] = tuple(sorted(split.items()))
+        tables: dict[int, list[list[int]]] = {}
+        for (dst, a), es in by_range_label.items():
+            ranks = tables.setdefault(a, [])
+            for r, e in enumerate(es):
+                if r == len(ranks):
+                    ranks.append([-1] * m)
+                ranks[r][dst] = e.src
+        self.sources = {a: tuple(map(tuple, tables[a]))
+                        for a in sorted(tables)}
+        self.gathers = {
+            a: tuple(itemgetter(*(m - 1 - s if s >= 0 else m
+                                  for s in reversed(t))) for t in ts)
+            for a, ts in self.sources.items()}
         self.refine_memo: dict[int, tuple[tuple[int, int], ...]] = {}
         self.merge_memo: dict[tuple[tuple[int, int], ...], int | None] = {}
 
@@ -480,7 +501,7 @@ class KriegerCover:
     @cached_property
     def index(self) -> CoverIndex:
         """The adjacency index of ``edges``."""
-        return CoverIndex(self.edges)
+        return CoverIndex(self.edges, self.class_count)
 
     @property
     def class_sets(self) -> tuple[frozenset[frozenset[int]], ...]:

@@ -29,12 +29,12 @@ EPSILON: Word = ()
 # The test and benchmark inputs reach at most 81 clean words.
 CLEAN_WORD_CAP = 2 ** 13
 
-# Cap on the words of one length in ``words_of_length``.  Each word is
-# a tuple of its letters, about 200 bytes at length 18, and the listing
-# holds two lengths at once, then ``words`` sorts a copy.  On the full
-# 2-shift the 2**18 words of length 18 print at a peak RSS of about
-# 110 MB, and length 19 is refused at about 145 MB; without the cap,
-# length 21 took 770 MB.
+# Cap on the words of one length in ``words_of_length``.  The listing
+# holds one small entry per word of every length, then spells the words
+# of the last length as tuples of their letters, about 200 bytes each at
+# length 18, and ``words`` sorts a copy.  On the full 2-shift the 2**18
+# words of length 18 print at a peak RSS of about 120 MB, and length 19
+# is refused at about 85 MB; without the cap, length 21 took 770 MB.
 WORD_CAP = 2 ** 18
 
 
@@ -471,20 +471,41 @@ def words_of_length(g: LabeledGraph, k: int) -> set[Word]:
     require_essential(g)
     if k < 0:
         raise ValueError("word length must be nonnegative")
-    frontier: dict[Word, int] = {EPSILON: g.full_mask()}
+    # Per length, each word as (index of its prefix one length shorter,
+    # last letter, path ends).  The words are spelled once, at the end:
+    # extending each word by copying it would cost its length per word
+    # and length.
+    levels: list[list[tuple[int, int, int]]] = []
+    ends = [g.full_mask()]
+    # path ends -> (letter, path ends after it) over the letters with
+    # paths
+    moves: dict[int, list[tuple[int, int]]] = {}
     for length in range(1, k + 1):
-        nxt: dict[Word, int] = {}
-        for word, mask in frontier.items():
-            for a in g.alphabet:
-                hit = g.successors(a, mask)
-                if hit:
-                    if len(nxt) >= WORD_CAP:
-                        raise ResourceLimitError(
-                            f"word listing exceeds {WORD_CAP} words of "
-                            f"length {length}")
-                    nxt[word + (a,)] = hit
-        frontier = nxt
-    return set(frontier)
+        level: list[tuple[int, int, int]] = []
+        for p, mask in enumerate(ends):
+            if mask not in moves:
+                moves[mask] = [(a, hit) for a in g.alphabet
+                               if (hit := g.successors(a, mask))]
+            for a, hit in moves[mask]:
+                if len(level) >= WORD_CAP:
+                    raise ResourceLimitError(
+                        f"word listing exceeds {WORD_CAP} words of "
+                        f"length {length}")
+                level.append((p, a, hit))
+        levels.append(level)
+        ends = [hit for _, _, hit in level]
+    if not levels:
+        return {EPSILON}
+    # the words' letters, one column per position from the last, each
+    # level dropped once read
+    picks: Iterable[int] = range(len(ends))
+    columns = []
+    while levels:
+        level = levels.pop()
+        chosen = [level[i] for i in picks]
+        columns.append([a for _, a, _ in chosen])
+        picks = [p for p, _, _ in chosen]
+    return set(zip(*reversed(columns)))
 
 
 def is_admissible(g: LabeledGraph, word: Word) -> bool:

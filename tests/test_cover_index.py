@@ -113,7 +113,7 @@ def use_slow_references(monkeypatch):
     from test_post_image_memo import (fold_union, slow_check_conjugation,
                                       slow_check_projection_formulas)
     monkeypatch.setattr(isocheck, "_scan_words", slow_scan_words)
-    monkeypatch.setattr(isocheck, "_range_union", fold_union)
+    monkeypatch.setattr(diagonal, "_union_all", fold_union)
     monkeypatch.setattr(isocheck, "_check_conjugation",
                         slow_check_conjugation)
     monkeypatch.setattr(isocheck, "_check_projection_formulas",
@@ -216,9 +216,15 @@ class TestIndexMatchesScans:
                 for e in cover.edges:
                     if e.label == a:
                         sources.setdefault(e.dst, []).append(e.src)
-                assert {dst: list(srcs) for dst, srcs in
-                        cover.index.sources_by_label.get(a, ())} == \
-                    sources, name
+                # one source table per rank, -1 past a class's last
+                # in-edge labeled a
+                tables = cover.index.sources.get(a, ())
+                assert len(tables) == max(map(len, sources.values()),
+                                          default=0), name
+                for j in range(cover.class_count):
+                    want = sources.get(j, [])
+                    assert [t[j] for t in tables] == \
+                        want + [-1] * (len(tables) - len(want)), name
 
     def test_left_resolving_flag(self, covers):
         for name, cover in covers:

@@ -8,10 +8,10 @@ formula product written out.  ``isocheck._check_conjugation`` and
 ``isocheck._check_projection_formulas``, which groups the classes once
 by their signatures over the post images, must record the same
 ``checked=`` count and the same witness on seeded covers, intact and
-corrupted, and on generated presentations.  ``fold_union`` unites the
-mapped range projections one at a time, as range_projection_partition
-did before ``isocheck._range_union`` united them in one step on
-left-resolving covers.  The word scan carries the post image of the
+corrupted, and on generated presentations.  ``fold_union`` unites
+sets one at a time, as ``diagonal._union_all`` did before it united
+them in one step on left-resolving covers on which every class has an
+out-edge.  The word scan carries the post image of the
 least word of each of its (length, scan state) pairs, on a
 left-resolving cover one forward letter step from the pair before,
 and the conjugation check reads it there; each carried value must be
@@ -88,12 +88,12 @@ def slow_check_projection_formulas(cover, rec, post_image=None):
             rec.fail("projection_word_formulas", f"class E{i + 1}: {exc}")
 
 
-def fold_union(cover, images):
-    """The union of the mapped range projections one image at a time,
-    in edge order, each union settled."""
+def fold_union(cover, sets):
+    """The union of ``sets`` one set at a time, in their order, each
+    union settled."""
     total = diagonal.empty_set(cover)
-    for img in images:
-        total = total.union(img)
+    for F in sets:
+        total = total.union(F)
     return total
 
 
@@ -126,8 +126,8 @@ def assert_matches(name, cover, max_len=CLOPEN_WORD_CAP):
     assert formulas(isocheck._check_projection_formulas, cover) == \
         formulas(slow_check_projection_formulas, cover), name
     images = isocheck._range_images(cover)
-    fast, slow = isocheck._range_union(cover, images), fold_union(cover,
-                                                                  images)
+    fast, slow = diagonal._union_all(cover, images), fold_union(cover,
+                                                                 images)
     assert (fast.depth, fast.masks) == (slow.depth, slow.masks), name
 
 
@@ -565,9 +565,21 @@ def strand_out_edges(cover, c):
     return cover.with_edges(edges)
 
 
+def one_step(cover):
+    """Whether ``diagonal._union_all`` unites in one step: on a
+    left-resolving cover on which every class has an out-edge."""
+    return cover.is_left_resolving() and all(
+        cover.out_edges(i) for i in range(cover.class_count))
+
+
 class TestRangeUnion:
     def test_one_step_on_left_resolving_covers(self, corpus, randoms,
                                                monkeypatch):
+        # left-resolving covers with a class without out-edges (some
+        # drop-edge and drop-letter corruptions) keep the fold
+        assert any(one_step(cover) for _, cover in corpus)
+        assert any(cover.is_left_resolving() and not one_step(cover)
+                   for _, cover in corpus)
         unions = []
         real = diagonal.ClopenSet.union
 
@@ -579,8 +591,8 @@ class TestRangeUnion:
         for name, cover in corpus + randoms:
             images = isocheck._range_images(cover)
             unions.clear()
-            isocheck._range_union(cover, images)
-            assert len(unions) == (0 if cover.is_left_resolving()
+            diagonal._union_all(cover, images)
+            assert len(unions) == (0 if one_step(cover)
                                    else len(images)), name
 
     def test_stranded_sources_fail_alike(self, corpus):
@@ -594,7 +606,7 @@ class TestRangeUnion:
                 if bad is None or not bad.is_left_resolving():
                     continue
                 images = isocheck._range_images(bad)
-                fast = isocheck._range_union(bad, images)
+                fast = diagonal._union_all(bad, images)
                 slow = fold_union(bad, images)
                 assert (fast.depth, fast.masks) == (slow.depth, slow.masks)
                 report = {r.name: r for r in

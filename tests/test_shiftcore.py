@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,6 +259,14 @@ class TestWords:
                 longer = words_of_length(g, k + 1)
                 shorter = words_of_length(g, k)
                 assert {w[:-1] for w in longer} <= shorter, name
+
+    def test_long_words_in_linear_time(self):
+        # one word per length on the one-letter loop: copying each word
+        # to extend it made the time grow with k**2 (7.8 s at k = 40,000)
+        start = time.perf_counter()
+        words = words_of_length(make_full(1), 200_000)
+        assert time.perf_counter() - start < 5
+        assert words == {(0,) * 200_000}
 
     def test_cap_on_words_of_one_length(self, golden_graph, monkeypatch):
         # 21 golden mean words of length 6: a cap of 21 lists them, a
