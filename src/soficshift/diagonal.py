@@ -21,10 +21,11 @@ per-letter masks are exactly a union of whole out-splits.  On a
 left-resolving cover the cell (a, k) has one possible owner, the
 source of k's in-edge labeled a, so the merge is the set of those
 sources if their out-edges are as many as the cells; other covers
-test which classes' out-splits tile the masks.  Both answers are
-memoized by mask on the cover's index.  A union of many sets is refined to their
-greatest depth, united and settled once where that reaches the form
-that uniting them one at a time does (see ``_union_all``).
+take the sources of every rank as candidates and test which of their
+out-splits tile the masks.  Both answers are memoized by mask on the
+cover's index.  A union of many sets is refined to their greatest
+depth, united and settled once where that reaches the form that
+uniting them one at a time does (see ``_union_all``).
 
 The noncommutative generators of the ambient algebra act on this
 model through :func:`conj_by_letter` (conjugation by a letter's
@@ -34,10 +35,10 @@ directly.
 
 Every step through the cover reads the cover's adjacency index
 (:class:`~soficshift.krieger.CoverIndex`: out-edges, out-split masks,
-edges by range and label, in-edge source tables, and the memos above),
-built once per cover instance on first use, so no operation scans the
-edge tuple.  A cover made by ``with_edges`` or ``dataclasses.replace``
-builds its own index.
+the in-edge source tables, which hold each in-edge once, and the memos
+above), built once per cover instance on first use, so no operation
+scans the edge tuple.  A cover made by ``with_edges`` or
+``dataclasses.replace`` builds its own index.
 
 Examples
 --------
@@ -72,26 +73,27 @@ Masks = dict[Word, int]
 def _sources(cover: KriegerCover, word: Word, mask: int) -> dict[int, int]:
     # source class -> mask of the classes of ``mask`` whose unique path
     # labeled ``word`` starts there.  All classes walk backward
-    # together, one (range, label) group per step, with the walks that
-    # have met kept as one; the error raised is that of the least class
-    # whose walk meets two edges with one label into one class.
+    # together, one letter's in-edge source tables per step, with the
+    # walks that have met kept as one.  Ranks fill in edge order, so a
+    # class has two in-edges labeled a exactly when its rank-1 entry is
+    # a source; the error raised is that of the least class whose walk
+    # meets two edges with one label into one class.
     index = cover.index
-    by_range_label = index.by_range_label
     at = {i: 1 << i for i in _bits(mask)}
     # (least start class, class, letter) of the first ambiguous walk
     ambiguous: tuple[int, int, int] | None = None
     for a in reversed(word):
+        tables = index.sources.get(a, ())
         nxt: dict[int, int] = {}
         for cur, starts in at.items():
-            edges = by_range_label.get((cur, a))
-            if edges is None:
+            src = tables[0][cur] if tables else -1
+            if src < 0:
                 continue
-            if len(edges) > 1:
+            if len(tables) > 1 and tables[1][cur] >= 0:
                 first = (starts & -starts).bit_length() - 1
                 if ambiguous is None or first < ambiguous[0]:
                     ambiguous = (first, cur, a)
                 continue
-            src = edges[0].src
             nxt[src] = nxt.get(src, 0) | starts
         at = nxt
     if ambiguous is not None:
@@ -122,8 +124,8 @@ def word_classes(cover: KriegerCover, word: Word) -> frozenset[int]:
 
     On a left-resolving cover these are the ends of the paths labeled
     ``word``, found forward one letter at a time.  Otherwise all classes
-    walk backward together, one (range, label) group per step, with the
-    walks that have met kept as one.
+    walk backward together, one letter's in-edge source tables per
+    step, with the walks that have met kept as one.
 
     Raises
     ------
@@ -207,9 +209,10 @@ def _tiling_owners(index: CoverIndex,
     letters = dict(key)
     owners = 0
     for a, mask in key:
-        for k in _bits(mask):
-            for e in index.by_range_label.get((k, a), ()):
-                owners |= 1 << e.src
+        for table in index.sources.get(a, ()):
+            for k in _bits(mask):
+                if table[k] >= 0:
+                    owners |= 1 << table[k]
     chosen = count = 0
     covered: dict[int, int] = {}
     for i in _bits(owners):
@@ -449,7 +452,8 @@ def conj_by_letter(cover: KriegerCover, letter: int,
         The error of the least cell (word, then class) whose backward
         walk meets two edges with one label into one class.
     """
-    entered = cover.index.entered.get(letter, 0)
+    entered = _letter_mask(cover.index, (1 << cover.class_count) - 1,
+                           letter)
     masks = {}
     for w, mask in sorted(F.masks.items()):
         if w:

@@ -371,69 +371,55 @@ class CoverIndex:
     """Adjacency of one tuple of cover edges over ``class_count``
     classes, each group in edge order.
 
-    ``out[i]`` and ``into[i]`` hold the edges leaving and entering
-    class i, ``by_range_label[(i, a)]`` the edges labeled a into class
-    i (one on a left-resolving cover), ``split_masks[i]`` the out-split
-    of class i as (letter, bitmask of the ranges of its edges with that
-    letter) pairs in letter order, and ``entered[a]`` the bitmask of the
-    classes that an edge labeled a enters.  Classes and letters without
-    such edges are absent from the maps.  ``left_resolving`` tells
-    whether every (range, label) group holds one edge.
+    ``out[i]`` holds the edges leaving class i and ``split_masks[i]``
+    the out-split of class i as (letter, bitmask of the ranges of its
+    edges with that letter) pairs in letter order; classes without
+    out-edges are absent from both.
 
-    ``sources[a]`` holds the in-edge source tables of letter a, one per
-    rank r: entry j of table r is the source of the r-th edge labeled a
-    into class j, or -1 if there are fewer.  A left-resolving cover has
-    one table per letter, so there a letter step of a set of classes is
-    a gather: class j is reached exactly when its entry is in the set.
-    ``gathers[a]`` holds the same tables as ``operator.itemgetter``
-    objects over the binary string of a class mask, ``class_count``
-    digits with a "0" appended: position ``class_count - 1 - j`` holds
-    class j, and a missing source reads the appended "0".  The word
-    scan of :mod:`soficshift.isocheck` and the clopen engine of
-    :mod:`soficshift.diagonal` step by them.
+    ``sources[a]`` holds the in-edges labeled a, once each, as source
+    tables, one per rank r: entry j of table r is the source of the
+    r-th edge labeled a into class j, in edge order, or -1 if there are
+    fewer.  Letters without edges are absent.  ``left_resolving`` tells
+    whether every letter has one table, that is whether no two edges
+    with one label enter one class; there a letter step of a set of
+    classes is a gather: class j is reached exactly when its entry is
+    in the set.  ``gathers[a]`` holds the same tables as
+    ``operator.itemgetter`` objects over the binary string of a class
+    mask, ``class_count`` digits with a "0" appended: position
+    ``class_count - 1 - j`` holds class j, and a missing source reads
+    the appended "0".  The word scan of :mod:`soficshift.isocheck` and
+    the clopen engine of :mod:`soficshift.diagonal` step by them.
 
     ``refine_memo`` and ``merge_memo`` are the clopen engine's memos
     keyed by class bitmasks (see :mod:`soficshift.diagonal`); they live
     here so that nothing outlives the cover.
     """
 
-    __slots__ = ("class_count", "out", "into", "by_range_label",
-                 "left_resolving", "split_masks", "entered", "sources",
-                 "gathers", "refine_memo", "merge_memo")
+    __slots__ = ("class_count", "out", "left_resolving", "split_masks",
+                 "sources", "gathers", "refine_memo", "merge_memo")
 
     def __init__(self, edges: Iterable[Edge], class_count: int):
         m = self.class_count = class_count
         out: dict[int, list[Edge]] = {}
-        into: dict[int, list[Edge]] = {}
-        by_range_label: dict[tuple[int, int], list[Edge]] = {}
-        entered: dict[int, int] = {}
+        tables: dict[int, list[list[int]]] = {}
         for e in edges:
             out.setdefault(e.src, []).append(e)
-            into.setdefault(e.dst, []).append(e)
-            by_range_label.setdefault((e.dst, e.label), []).append(e)
-            entered[e.label] = entered.get(e.label, 0) | 1 << e.dst
+            ranks = tables.setdefault(e.label, [])
+            r = sum(t[e.dst] >= 0 for t in ranks)  # ranks fill in order
+            if r == len(ranks):
+                ranks.append([-1] * m)
+            ranks[r][e.dst] = e.src
         self.out = {i: tuple(es) for i, es in out.items()}
-        self.into = {i: tuple(es) for i, es in into.items()}
-        self.by_range_label = {k: tuple(es)
-                               for k, es in by_range_label.items()}
-        self.left_resolving = all(len(es) == 1
-                                  for es in by_range_label.values())
-        self.entered = entered
         self.split_masks = {}
         for i, es in out.items():
             split: dict[int, int] = {}
             for e in es:
                 split[e.label] = split.get(e.label, 0) | 1 << e.dst
             self.split_masks[i] = tuple(sorted(split.items()))
-        tables: dict[int, list[list[int]]] = {}
-        for (dst, a), es in by_range_label.items():
-            ranks = tables.setdefault(a, [])
-            for r, e in enumerate(es):
-                if r == len(ranks):
-                    ranks.append([-1] * m)
-                ranks[r][dst] = e.src
         self.sources = {a: tuple(map(tuple, tables[a]))
                         for a in sorted(tables)}
+        self.left_resolving = all(len(ts) == 1
+                                  for ts in self.sources.values())
         self.gathers = {
             a: tuple(itemgetter(*(m - 1 - s if s >= 0 else m
                                   for s in reversed(t))) for t in ts)
@@ -442,20 +428,22 @@ class CoverIndex:
         self.merge_memo: dict[tuple[tuple[int, int], ...], int | None] = {}
 
     def edge_into(self, dst: int, label: int) -> Edge | None:
-        """The edge labeled ``label`` into class ``dst``, or None.
+        """The edge labeled ``label`` into class ``dst``, or None, also
+        for a ``dst`` outside ``0 .. class_count - 1``.
 
         Raises
         ------
         AmbiguousLabelError
             If there are two, which only corrupted covers exhibit.
         """
-        edges = self.by_range_label.get((dst, label))
-        if edges is None:
+        tables = self.sources.get(label, ())
+        if not (tables and 0 <= dst < self.class_count
+                and tables[0][dst] >= 0):
             return None
-        if len(edges) > 1:
+        if len(tables) > 1 and tables[1][dst] >= 0:
             raise AmbiguousLabelError(
                 f"two edges labeled {label} into class {dst + 1}")
-        return edges[0]
+        return Edge(tables[0][dst], dst, label)
 
 
 @dataclass(frozen=True)
@@ -560,7 +548,7 @@ class KriegerCover:
         return list(self.index.out.get(i, ()))
 
     def in_edges(self, i: int) -> list[Edge]:
-        return list(self.index.into.get(i, ()))
+        return [e for e in self.edges if e.dst == i]
 
     def is_left_resolving(self) -> bool:
         return self.index.left_resolving
@@ -766,7 +754,8 @@ def edge_matrix(cover: KriegerCover) -> EdgeMatrix:
 def unique_labeled_path(cover: KriegerCover, word: Word,
                         target: int) -> tuple[Edge, ...] | None:
     """The unique cover path labeled ``word`` ending at class
-    ``target``, or None if there is none.
+    ``target``, or None if there is none, as for a ``target`` that is
+    not a class.
 
     Found by walking backward from the target through the cover's
     index; left-resolving uniqueness makes each backward step

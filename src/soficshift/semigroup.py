@@ -22,7 +22,7 @@ DEFAULT_SEMIGROUP_CAP = 2 ** 20
 
 # Cap on the rows the semigroup stores: every element holds one row
 # per vertex, so the element cap alone does not bound memory on wide
-# presentations.
+# presentations.  A row, an n-bit int, counts once per 64 vertices.
 SEMIGROUP_ROW_CAP = 2 ** 22
 
 
@@ -113,6 +113,7 @@ class TransitionSemigroup:
 
     def __init__(self, g: LabeledGraph, max_elements: int):
         n = g.vertex_count
+        weight = n * -(-n // 64)  # one element's rows, each by its width
         letters = list(g.alphabet)
         ident = TransitionRelation.identity(n)
         relations = [ident]
@@ -132,12 +133,13 @@ class TransitionSemigroup:
                         raise ResourceLimitError(
                             f"transition semigroup exceeds "
                             f"{max_elements} elements")
-                    if (len(relations) + 1) * n > SEMIGROUP_ROW_CAP:
+                    if (len(relations) + 1) * weight > SEMIGROUP_ROW_CAP:
                         raise ResourceLimitError(
                             f"transition semigroup exceeds "
                             f"{SEMIGROUP_ROW_CAP} stored rows: "
                             f"{len(relations)} elements of {n} rows "
-                            f"each are stored")
+                            f"each are stored, a row counting once per "
+                            f"64 vertices")
                     j = len(relations)
                     index[nxt.rows] = j
                     relations.append(nxt)
@@ -177,7 +179,8 @@ def transition_semigroup(g: LabeledGraph,
     ------
     ResourceLimitError
         If the closure exceeds ``max_elements`` relations or
-        ``SEMIGROUP_ROW_CAP`` stored rows (elements times vertices).
+        ``SEMIGROUP_ROW_CAP`` stored rows (elements times vertices, a
+        row counting once per 64 vertices of its width).
     """
     require_essential(g)
     return TransitionSemigroup(g, max_elements)

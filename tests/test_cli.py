@@ -380,6 +380,19 @@ class TestResourceLimits:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("classes: 1\n")
 
+    def test_wide_semigroup_refused_under_memory_limit(self, write):
+        # the 12-vertex ladder determinizes to 2,048 vertices, so each
+        # row of the oracle's semigroup is 32 words wide; counted once
+        # per vertex, 2,048 elements (about 730 MB) fitted the row cap
+        proc = run_limited(["oracle",
+                            write("ladder12.shift", ladder_text(12))],
+                           800_000 * 1024)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "error: transition semigroup exceeds 4194304 stored rows: "
+            "64 elements of 2048 rows"), proc.stderr
+        assert proc.stdout == ""
+
     def test_pair_graph_candidates_refused_under_memory_limit(self, write):
         # a is the 30-cycle and b a loop on every vertex but v0, so
         # every V∖S is a preimage pre_w(V): 2**30 - 1 candidates, which

@@ -210,7 +210,8 @@ class TestIndexMatchesScans:
                     sorted({e.label for e in edges}), name
             assert set(split) == set(cover.index.out), name
             for a in cover.alphabet:
-                assert cover.index.entered.get(a, 0) == sum(
+                assert diagonal._letter_mask(
+                    cover.index, (1 << cover.class_count) - 1, a) == sum(
                     {1 << e.dst for e in cover.edges if e.label == a}), name
                 sources = {}
                 for e in cover.edges:
@@ -235,7 +236,8 @@ class TestIndexMatchesScans:
     def test_unique_labeled_path(self, covers):
         for name, cover in covers:
             for w in all_words(cover, 3):
-                for i in range(cover.class_count):
+                # -1 and class_count are no classes: no path ends there
+                for i in range(-1, cover.class_count + 1):
                     assert outcome(unique_labeled_path, cover, w, i) == \
                         outcome(slow_unique_labeled_path, cover, w, i), \
                         (name, w, i)
