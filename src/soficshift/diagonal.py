@@ -34,10 +34,10 @@ co-range projection); nothing noncommutative is ever represented
 directly.
 
 Every step through the cover reads the cover's adjacency index
-(:class:`~soficshift.krieger.CoverIndex`: out-edges, out-split masks,
-the in-edge source tables, which hold each in-edge once, and the memos
-above), built once per cover instance on first use, so no operation
-scans the edge tuple.  A cover made by ``with_edges`` or
+(:class:`~soficshift.krieger.CoverIndex`: the out-split masks and the
+in-edge source tables, which hold each out-edge and each in-edge once,
+and the memos above), built once per cover instance on first use, so
+no operation scans the edge tuple.  A cover made by ``with_edges`` or
 ``dataclasses.replace`` builds its own index.
 
 Examples
@@ -183,8 +183,8 @@ def _gathered_owners(index: CoverIndex,
     # On a left-resolving cover the pair (a, k) has one possible owner,
     # the source of k's in-edge labeled a, and none if k has no such
     # edge.  The out-splits of those owners hold every cell of the key
-    # and are disjoint, one cell per out-edge, so they tile the key
-    # exactly when their out-edges are as many as its cells.
+    # and are disjoint, one cell per out-edge and split-mask bit, so
+    # they tile the key exactly when their bits are as many as its cells.
     sources = index.sources
     owners: set[int] = set()
     cells = 0
@@ -196,8 +196,8 @@ def _gathered_owners(index: CoverIndex,
         cells += mask.bit_count()
     if -1 in owners:
         return None
-    out = index.out
-    if sum(len(out[i]) for i in owners) != cells:
+    if sum(sub.bit_count() for i in owners
+           for _, sub in index.split_masks[i]) != cells:
         return None
     return sum(1 << i for i in owners)
 
@@ -249,9 +249,9 @@ class ClopenSet:
     are absent.  ``cells`` gives the same union as a frozenset of
     (word, class) pairs.
 
-    Instances are immutable and canonical: the union is merged down to
-    the smallest depth that represents the same set of rays, so
-    semantically equal values compare equal structurally as well.
+    Instances are immutable and settled: merged down while each prefix's
+    cells are whole out-splits, canonical only on a left-resolving cover.
+    :meth:`refine` does not settle; the hash reads only the cover.
 
     >>> from .krieger import build_cover
     >>> from .shiftcore import parse_presentation
@@ -382,8 +382,7 @@ class ClopenSet:
         return a == b
 
     def __hash__(self) -> int:
-        return hash((id(self.cover), self.depth,
-                     frozenset(self.masks.items())))
+        return hash(id(self.cover))
 
     def render(self) -> str:
         """Sorted cell list, e.g. ``{10·E1, 10·E3}``."""
@@ -448,10 +447,14 @@ def conj_by_letter(cover: KriegerCover, letter: int,
 
     Raises
     ------
+    ValueError
+        If F lives over another cover.
     AmbiguousLabelError
         The error of the least cell (word, then class) whose backward
         walk meets two edges with one label into one class.
     """
+    if F.cover is not cover:
+        raise ValueError("operands live over different covers")
     entered = _letter_mask(cover.index, (1 << cover.class_count) - 1,
                            letter)
     masks = {}
@@ -469,8 +472,8 @@ def conj_by_letter(cover: KriegerCover, letter: int,
 
 
 def shift_preimage(cover: KriegerCover, F: ClopenSet) -> ClopenSet:
-    """Rays whose shift lands in F: the union of the letter prepends
-    of F over the whole alphabet."""
+    """Rays whose shift lands in F, a set over ``cover``: the union of
+    the letter prepends of F over the whole alphabet."""
     return _union_all(cover, (conj_by_letter(cover, a, F)
                               for a in cover.alphabet))
 

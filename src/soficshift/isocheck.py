@@ -397,11 +397,12 @@ def _split_identities(cover: KriegerCover,
     already differs from the derived one, the detail for a witness).
     """
     by_src: list[list[ClopenSet]] = [[] for _ in range(cover.class_count)]
+    cover_splits: list[set[tuple[int, int]]] = [set() for _ in by_src]
     for e, img in zip(cover.edges, images):
         by_src[e.src].append(img)
+        cover_splits[e.src].add((e.label, e.dst))
     outcomes: list[_SplitOutcome] = []
-    for i in range(cover.class_count):
-        cover_split = {(e.label, e.dst) for e in cover.out_edges(i)}
+    for i, cover_split in enumerate(cover_splits):
         if cover_split != derived[i]:
             outcomes.append((True, f"cover split "
                                    f"{_split_str(cover, cover_split)} != "

@@ -371,10 +371,10 @@ class CoverIndex:
     """Adjacency of one tuple of cover edges over ``class_count``
     classes, each group in edge order.
 
-    ``out[i]`` holds the edges leaving class i and ``split_masks[i]``
-    the out-split of class i as (letter, bitmask of the ranges of its
-    edges with that letter) pairs in letter order; classes without
-    out-edges are absent from both.
+    ``split_masks[i]``, the only out-edge table, holds class i's
+    out-split as (letter, bitmask of the ranges of its edges with that
+    letter) pairs in letter order, so repeated edges share a bit;
+    classes without out-edges are absent.
 
     ``sources[a]`` holds the in-edges labeled a, once each, as source
     tables, one per rank r: entry j of table r is the source of the
@@ -395,27 +395,23 @@ class CoverIndex:
     here so that nothing outlives the cover.
     """
 
-    __slots__ = ("class_count", "out", "left_resolving", "split_masks",
+    __slots__ = ("class_count", "left_resolving", "split_masks",
                  "sources", "gathers", "refine_memo", "merge_memo")
 
     def __init__(self, edges: Iterable[Edge], class_count: int):
         m = self.class_count = class_count
-        out: dict[int, list[Edge]] = {}
+        splits: dict[int, dict[int, int]] = {}
         tables: dict[int, list[list[int]]] = {}
         for e in edges:
-            out.setdefault(e.src, []).append(e)
+            split = splits.setdefault(e.src, {})
+            split[e.label] = split.get(e.label, 0) | 1 << e.dst
             ranks = tables.setdefault(e.label, [])
             r = sum(t[e.dst] >= 0 for t in ranks)  # ranks fill in order
             if r == len(ranks):
                 ranks.append([-1] * m)
             ranks[r][e.dst] = e.src
-        self.out = {i: tuple(es) for i, es in out.items()}
-        self.split_masks = {}
-        for i, es in out.items():
-            split: dict[int, int] = {}
-            for e in es:
-                split[e.label] = split.get(e.label, 0) | 1 << e.dst
-            self.split_masks[i] = tuple(sorted(split.items()))
+        self.split_masks = {i: tuple(sorted(split.items()))
+                            for i, split in splits.items()}
         self.sources = {a: tuple(map(tuple, tables[a]))
                         for a in sorted(tables)}
         self.left_resolving = all(len(ts) == 1
@@ -466,9 +462,9 @@ class KriegerCover:
     same sets as frozensets of vertex indices, for callers outside the
     package; no code in the package reads them.
 
-    Adjacency queries read ``index``, a :class:`CoverIndex` of
-    ``edges`` built on first use and kept on this instance, as is
-    ``range_witnesses``.  A cover made by :meth:`with_edges` or
+    ``index``, a :class:`CoverIndex` of ``edges`` (each edge once per
+    direction), and ``range_witnesses`` are built on first use and kept
+    on this instance; a cover made by :meth:`with_edges` or
     ``dataclasses.replace`` is a new instance and builds its own.
     """
 
@@ -545,7 +541,7 @@ class KriegerCover:
         return self.realized.get(_survivor_mask(self.graph, ray))
 
     def out_edges(self, i: int) -> list[Edge]:
-        return list(self.index.out.get(i, ()))
+        return [e for e in self.edges if e.src == i]
 
     def in_edges(self, i: int) -> list[Edge]:
         return [e for e in self.edges if e.dst == i]

@@ -175,7 +175,7 @@ class ClopenSet:
         return a == b
 
     def __hash__(self):
-        return hash((id(self.cover), self.depth, self.cells))
+        return hash(id(self.cover))
 
     def render(self):
         parts = []

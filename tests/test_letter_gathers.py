@@ -14,7 +14,8 @@ give) on the corpus covers, intact, under every corruption kind and
 with two labels duplicated, on a cover whose highest class has no
 edges, and on the 506- and 802-class covers of the scaling tier.  The
 one-step union of ``diagonal._union_all`` must equal the fold on
-seeded lists of sets over every cover.
+seeded lists of sets over every cover.  It, the letter prepend and the
+shift preimage refuse a set over another cover.
 """
 
 import random
@@ -169,3 +170,11 @@ class TestUnionInOneStep:
         (_, a), (_, b) = corpus[0], corpus[1]
         with pytest.raises(ValueError, match="different covers"):
             diagonal._union_all(a, [diagonal.full_space(b)])
+
+    @pytest.mark.parametrize("step", [
+        lambda cover, F: diagonal.conj_by_letter(cover, 0, F),
+        diagonal.shift_preimage], ids=["conj_by_letter", "shift_preimage"])
+    def test_letter_prepend_of_other_cover_refused(self, corpus, step):
+        (_, a), (_, b) = corpus[0], corpus[1]
+        with pytest.raises(ValueError, match="different covers"):
+            step(a, diagonal.full_space(b))
