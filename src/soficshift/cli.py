@@ -29,11 +29,12 @@ def _load_graph(path: str) -> LabeledGraph:
 
 def cmd_cover(args) -> int:
     cover = krieger.build_cover(_load_graph(args.file))
+    reps = cover.representatives  # may hit a cap: read before any output
     if args.dot:  # written first, so that a failed write prints nothing
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(krieger.cover_to_dot(cover))
     print(f"classes: {cover.class_count}")
-    for i, rep in enumerate(cover.representatives):
+    for i, rep in enumerate(reps):
         print(f"E{i + 1}: rep = {rep.render(cover.alphabet)}")
     print(f"edges: {len(cover.edges)}")
     for e in cover.edges:

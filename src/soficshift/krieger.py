@@ -5,11 +5,16 @@ The central objects:
 
 * the survivor set I(x) of a ray x, the vertices of a right-resolving
   essential presentation that emit x;
-* the pair graph of vertex sets, from which ``build_cover`` reads the
-  realized survivor sets and the class representatives: the short-ray
-  representatives on its candidate preimage table (the candidate
-  pre_a D per candidate D and letter a, by index), the others by
-  walks of its moves;
+* the candidate survivor sets (V closed under nonempty letter
+  preimages) and their preimage table (the candidate pre_a D per
+  candidate D and letter a, by index), on which ``build_cover``
+  decides the realized survivor sets: the survivor sets of the
+  periods of length 1 and 2 and everything they reach by preimages
+  are realized, and the pair graph of vertex sets, explored only from
+  the candidates left open, decides the rest;
+* the class representatives, built on first read: short rays found on
+  the candidate preimage table, the others by walks of the pair graph
+  explored from their classes' canonical sets;
 * the past-equivalence partition of the realized survivor sets, by
   Moore refinement, whose blocks are the left Krieger cover's vertices;
 * the cover's edge matrix B, indexed by cover edges in canonical
@@ -56,7 +61,9 @@ _SEMIGROUP_NAMES = frozenset({
     "TransitionSemigroup", "transition_semigroup",
     "realized_survivor_sets_bruteforce"})
 
-# Cap on the pair states of ``build_cover`` times vertices.
+# Cap on the stored pair states times vertices, candidates included,
+# in each exploration: the candidate listing, the realized decision and
+# the representative search.
 PAIR_STATE_CAP = 2 ** 24
 
 _REPRESENTATIVE_SEARCH_CAP = 4
@@ -127,50 +134,69 @@ def survivor_set(g: LabeledGraph, ray: Ray) -> frozenset[int]:
     return _mask_to_set(_survivor_mask(g, ray))
 
 
-def _pair_graph(g: LabeledGraph) -> tuple[dict[int, int], list[int], array,
-                                            bytearray, array]:
-    # States (P, Q) of disjoint vertex sets, as P << n | Q.  The move
+def _check_stored(j: int, n: int, stage: str) -> None:
+    # the pair-state cap, met when the state or candidate j is stored
+    if (j + 1) * n > PAIR_STATE_CAP:
+        raise ResourceLimitError(
+            f"pair graph exceeds {PAIR_STATE_CAP} stored vertices: {j} "
+            f"pair states of {n} vertices each are stored ({stage})")
+
+
+def _candidates(g: LabeledGraph) -> tuple[tuple[int, ...], array]:
+    # The candidate survivor sets: V closed under nonempty letter
+    # preimages, V at index 0.  The candidate preimage table
+    # pre[i * k + a] is the index of the candidate pre_a D for the
+    # candidate D at index i, or -1 if that is empty.  Each candidate
+    # counts as one pair state (D, V∖D) towards the cap.
+    n, letters = g.vertex_count, list(g.alphabet)
+    cands = [g.full_mask()]
+    index = {cands[0]: 0}
+    pre = array("q")
+    for d in cands:  # reads cands as it grows
+        for a in letters:
+            p = g.predecessors(a, d)
+            j = index.setdefault(p, len(cands)) if p else -1
+            if j == len(cands):
+                _check_stored(j, n, "candidates")
+                cands.append(p)
+            pre.append(j)
+    return tuple(cands), pre
+
+
+def _pair_graph(g: LabeledGraph, roots: Iterable[int], held: int,
+                stage: str) -> tuple[list[int], array, bytearray]:
+    # States (P, Q) of disjoint vertex sets, as P << n | Q, explored from
+    # the distinct roots, which take the first indices.  The move
     # (P, Q) -a-> (δ_a P, δ_a Q), step[i * k + a] (-1 if barred), needs
     # every track from P to survive a and none from Q to merge into one.
     # A state is good when it reaches a (P', ∅) whose P' can move
-    # forever.  The first states are (D, V∖D) for the candidates D (V
-    # closed under nonempty pre_a), and D is realized iff that is good.
-    # The candidate preimage table pre[i * k + a] is the index of the
-    # candidate pre_a D for the candidate D at index i, or -1 if that is
-    # empty; candidate 0 is V.
+    # forever; that depends only on the states it reaches, so it is
+    # exact from any roots.  A candidate D is realized iff (D, V∖D) is
+    # good.  The cap counts the ``held`` candidates as stored states.
     n, full, letters = g.vertex_count, g.full_mask(), list(g.alphabet)
     states: list[int] = []
     index: dict[int, int] = {}
-
-    def state(s: int) -> int:
-        # the index of s, stored when first met if the cap allows
-        j = index.setdefault(s, len(states))
-        if j == len(states):
-            if (j + 1) * n > PAIR_STATE_CAP:
-                raise ResourceLimitError(
-                    f"pair graph exceeds {PAIR_STATE_CAP} stored "
-                    f"vertices: {j} pair states of {n} vertices each "
-                    f"are stored")
-            states.append(s)
-        return j
-
-    state(full << n)
-    pre = array("q")
-    for s in states:  # the candidates; both loops read states as it grows
-        for a in letters:
-            d = g.predecessors(a, s >> n)
-            pre.append(state(d << n | full ^ d) if d else -1)
-    candidates = len(states)
+    for s in roots:
+        _check_stored(held + len(states), n, stage)
+        index[s] = len(states)
+        states.append(s)
     doms = [g.predecessors(a, full) for a in letters]
+    successors = g.successors
     step = array("q")
-    for s in states:
+    for s in states:  # reads states as it grows
         p, q = s >> n, s & full
         for a in letters:
             j = -1
             if not p & ~doms[a]:
-                p2, q2 = g.successors(a, p), g.successors(a, q)
+                p2, q2 = successors(a, p), successors(a, q)
                 if not p2 & q2:
-                    j = state(p2 << n | q2)
+                    s2 = p2 << n | q2
+                    # the index of s2, stored when first met if the cap
+                    # allows
+                    j = index.setdefault(s2, len(states))
+                    if j == len(states):
+                        _check_stored(held + j, n, stage)
+                        states.append(s2)
             step.append(j)
 
     # reverse moves in flat buffers (a list per state would fragment the
@@ -208,8 +234,13 @@ def _pair_graph(g: LabeledGraph) -> tuple[dict[int, int], list[int], array,
             if not good[i]:
                 good[i] = 1
                 stack.append(i)
-    return ({states[i] >> n: i for i in range(candidates) if good[i]},
-            states, step, good, pre)
+    return states, step, good
+
+
+def _roots(g: LabeledGraph, masks: Iterable[int]) -> Iterator[int]:
+    # the pair states (D, V∖D) of the sets D
+    n, full = g.vertex_count, g.full_mask()
+    return (d << n | full ^ d for d in masks)
 
 
 def _pre_walk(pre: array, k: int, word: Word, i: int) -> int:
@@ -237,6 +268,36 @@ def _pre_fixpoint(pre: array, k: int, period: Word) -> int:
         cur = nxt
 
 
+def _realized_masks(g: LabeledGraph, cands: tuple[int, ...],
+                    pre: array) -> list[int]:
+    # The realized candidates, in candidate order.  Fix(v), the survivor
+    # set of v v v ..., is realized, and so is every nonempty letter
+    # preimage of a realized set, since I(ax) = pre_a I(x).  So the
+    # closure under ``pre`` of the fixpoints of the periods of length 1
+    # and 2 holds only realized sets; the pair graph decides the rest.
+    k = len(g.alphabet)
+    realized = bytearray(len(cands))
+    stack: list[int] = []
+    for length in (1, 2):
+        for v in itertools.product(range(k), repeat=length):
+            j = _pre_fixpoint(pre, k, v)
+            if j >= 0 and not realized[j]:
+                realized[j] = 1
+                stack.append(j)
+    while stack:
+        i = stack.pop()
+        for j in pre[i * k:i * k + k]:
+            if j >= 0 and not realized[j]:
+                realized[j] = 1
+                stack.append(j)
+    undecided = [i for i, r in enumerate(realized) if not r]
+    good = _pair_graph(g, _roots(g, (cands[i] for i in undecided)),
+                       len(cands), "realized sets")[2]
+    for r, i in enumerate(undecided):  # the roots take the first indices
+        realized[i] = good[r]
+    return list(itertools.compress(cands, realized))
+
+
 def realized_survivor_sets(
     g: LabeledGraph,
     sg: TransitionSemigroup | None = None,
@@ -250,16 +311,20 @@ def realized_survivor_sets(
     for x with I(x) = C; pairs whose prepend is empty (j y never in
     the shift) are absent from the map.
 
-    Naively chaining vertex subsets backwards overgenerates, because a
-    strict subset of a true survivor set can satisfy the chain
-    condition.  The computation therefore runs over pairs of vertex
-    sets: a candidate D (the vertex set V closed under nonempty letter
-    preimages) is realized exactly when some ray keeps every track from
-    D alive while every track from V∖D dies without merging into one
-    of them.  A move follows each track only when every vertex has at
-    most one edge per letter, so ``g`` must be right-resolving as well
-    as essential.  The map is read from the family's prepend table, as
-    in ``build_cover``.  ``sg`` is not read.
+    Every survivor set is a candidate: the vertex set V or a nonempty
+    letter preimage of a candidate.  Most realized candidates are found
+    without search: the survivor set of v v v ... for every period v of
+    length 1 or 2 is realized, and the family is closed under nonempty
+    letter preimages.  The candidates this closure leaves open are
+    decided over pairs of vertex sets, since naively chaining vertex
+    subsets backwards overgenerates (a strict subset of a true survivor
+    set can satisfy the chain condition): D is realized exactly when
+    some ray keeps every track from D alive while every track from V∖D
+    dies without merging into one of them.  A move follows each track
+    only when every vertex has at most one edge per letter, so ``g``
+    must be right-resolving as well as essential.  ``build_cover`` takes
+    the same route.  The map is read from the family's prepend table.
+    ``sg`` is not read.
 
     Raises
     ------
@@ -272,7 +337,7 @@ def realized_survivor_sets(
     if not g.is_right_resolving():
         raise ValueError("realized survivor sets require a right-resolving "
                          "presentation")
-    family = list(_pair_graph(g)[0])
+    family = _realized_masks(g, *_candidates(g))
     table = _prepend_table(g, family)
     sets = [_mask_to_set(mask) for mask in family]
     pre = {(a, c): sets[row[k]] for k, c in enumerate(sets)
@@ -305,12 +370,14 @@ def _moore_refinement(prepend: tuple[tuple[int, ...], ...],
     # words of length at most k have a path ending in each.  Returns
     # the labels, numbered in order of first appearance, and the
     # splitting rounds.
-    rows = [tuple(row[k] for row in prepend) for k in range(n)]
     label, blocks, rounds = [0] * n + [-1], min(1, n), 0
     while True:
+        # the key of set k: its label, then its preimages' labels by
+        # letter, built a letter column at a time
+        keys = zip(label[:n], *(map(label.__getitem__, row)
+                                for row in prepend))
         ids: dict[tuple[int, ...], int] = {}
-        nxt = [ids.setdefault((label[k],) + tuple(label[p] for p in row),
-                              len(ids)) for k, row in enumerate(rows)]
+        nxt = [ids.setdefault(key, len(ids)) for key in keys]
         if len(ids) == blocks:
             return label[:n], rounds
         label, blocks, rounds = nxt + [-1], len(ids), rounds + 1
@@ -446,11 +513,10 @@ class CoverIndex:
 class KriegerCover:
     """The left Krieger cover of a sofic shift.
 
-    Vertices are the past-equivalence classes, numbered from 0 in
-    canonical order; ``representatives[i]`` is one ultimately periodic
-    ray in class i.  Edges are sorted by (source, range, label) and the
-    graph is left-resolving: no two edges with the same label enter the
-    same class.
+    Vertices are the ``class_count`` past-equivalence classes,
+    numbered from 0 in canonical order.  Edges are sorted by (source,
+    range, label) and the graph is left-resolving: no two edges with
+    the same label enter the same class.
 
     Vertex sets are bitmasks over the vertices of ``graph``.
     ``realized`` maps each realized survivor set to its class; its
@@ -460,27 +526,47 @@ class KriegerCover:
     under letter a of the set in slot r, or -1 if that is empty.
     ``class_sets`` and ``canonical_sets`` are read-only views of the
     same sets as frozensets of vertex indices, for callers outside the
-    package; no code in the package reads them.
+    package; no code in the package reads them.  ``candidates`` and
+    ``candidate_pre`` are the candidate survivor sets (V first, then
+    the nonempty letter preimages, realized or not) and their preimage
+    table: ``candidate_pre[i * k + a]`` is the index of the preimage
+    under letter a of candidate i over k letters, or -1 if that is
+    empty.  Only ``representatives`` reads them.
 
-    ``index``, a :class:`CoverIndex` of ``edges`` (each edge once per
-    direction), and ``range_witnesses`` are built on first use and kept
-    on this instance; a cover made by :meth:`with_edges` or
-    ``dataclasses.replace`` is a new instance and builds its own.
+    ``representatives``, ``index`` (a :class:`CoverIndex` of ``edges``,
+    each edge once per direction) and ``range_witnesses`` are built on
+    first use and kept on this instance; a cover made by
+    :meth:`with_edges` or ``dataclasses.replace`` is a new instance and
+    builds its own.
     """
 
     graph: LabeledGraph
-    representatives: tuple[Ray, ...]
+    class_count: int
     edges: tuple[Edge, ...]
     realized: Mapping[int, int] = field(repr=False)
     prepend: tuple[tuple[int, ...], ...] = field(repr=False)
+    candidates: tuple[int, ...] = field(repr=False)
+    candidate_pre: array = field(repr=False)
 
     @property
     def alphabet(self) -> Alphabet:
         return self.graph.alphabet
 
-    @property
-    def class_count(self) -> int:
-        return len(self.representatives)
+    @cached_property
+    def representatives(self) -> tuple[Ray, ...]:
+        """Per class, one ultimately periodic ray in it: the first short
+        ray whose survivor set lies in the class, else a walk in the
+        pair graph from the class's canonical set.
+
+        Raises
+        ------
+        ResourceLimitError
+            Past ``PAIR_STATE_CAP`` pair states times vertices in the
+            walk's pair graph.
+        """
+        return _class_representatives(self.graph, self.realized,
+                                      self.class_count, self.candidates,
+                                      self.candidate_pre)
 
     @cached_property
     def index(self) -> CoverIndex:
@@ -581,22 +667,22 @@ def _short_rays(pre: array, k: int) -> Iterator[tuple[Word, Word, int]]:
 
 
 def _class_representatives(g: LabeledGraph, realized: Mapping[int, int],
-                           count: int, starts: dict[int, int],
-                           states: list[int], step: array, good: bytearray,
+                           count: int, cands: tuple[int, ...],
                            pre: array) -> tuple[Ray, ...]:
     # Per class of ``realized`` (whose first ``count`` sets are the
     # canonical ones), the first short ray in the order of _short_rays
     # whose survivor set lies in it, found on the candidate preimage
-    # table.  Otherwise, from the state (D, V∖D) of its canonical set D,
-    # the breadth-first least word to a good (P', ∅), then the least
-    # letter that keeps P' good, until a set repeats.
+    # table.  Otherwise, in the pair graph from the states (D, V∖D) of
+    # the remaining classes' canonical sets D, the breadth-first least
+    # word from (D, V∖D) to a good (P', ∅), then the least letter that
+    # keeps P' good, until a set repeats.
     letters = list(g.alphabet)
-    n, full, k = g.vertex_count, g.full_mask(), len(letters)
+    full, k = g.full_mask(), len(letters)
     reps: list[Ray | None] = [None] * count
     missing = count
     # the class of each candidate, None if it is not realized; the
     # trailing None is the class of index -1, the empty set
-    cls = [realized.get(states[i] >> n) for i in range(len(pre) // k)]
+    cls = [realized.get(d) for d in cands]
     cls.append(None)
     for u, v, fix in _short_rays(pre, k):
         b = cls[_pre_walk(pre, k, u, fix)]
@@ -606,10 +692,12 @@ def _class_representatives(g: LabeledGraph, realized: Mapping[int, int],
             if not missing:
                 break
 
-    for b, canonical in enumerate(itertools.islice(realized, count)):
-        if reps[b] is not None:
-            continue
-        cur = starts[canonical]
+    canonical = list(itertools.islice(realized, count))
+    left = [b for b in range(count) if reps[b] is None]
+    states, step, good = _pair_graph(
+        g, _roots(g, (canonical[b] for b in left)), len(cands),
+        "representatives")
+    for cur, b in enumerate(left):  # the roots take the first indices
         words, queue = {cur: EPSILON}, deque([cur])
         while states[cur] & full:
             i = queue.popleft()
@@ -635,12 +723,14 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
     """Construct the left Krieger cover of the shift presented by g.
 
     The input is conditioned internally (trimmed to its essential part
-    and determinized forward).  The pair graph of
-    :func:`realized_survivor_sets` gives the realized survivor sets and
-    the representatives no short ray gives.  Cover vertices are the
-    blocks of the past partition; for each class i and each letter j
-    that can be prepended to the class there is one edge labeled j
-    from the class containing the prepended rays to i.
+    and determinized forward).  The realized survivor sets are found as
+    in :func:`realized_survivor_sets`: the closure of the periodic
+    survivor sets under letter preimages, then the pair graph from the
+    candidates the closure leaves open.  Cover vertices are the blocks
+    of the past partition; for each class i and each letter j that can
+    be prepended to the class there is one edge labeled j from the
+    class containing the prepended rays to i.  The representatives are
+    built when first read.
 
     Raises
     ------
@@ -652,8 +742,8 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
         implementation and indicates a bug.
     """
     g = make_right_resolving(trim_essential(g))
-    starts, states, step, good, pre = _pair_graph(g)
-    realized, prepend = _class_tables(g, starts)
+    cands, pre = _candidates(g)
+    realized, prepend = _class_tables(g, _realized_masks(g, cands, pre))
 
     classes = list(realized.values())
     targets: dict[tuple[int, int], set[int | None]] = {}
@@ -670,19 +760,19 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
         if src is not None:
             edges.append(Edge(src, i, a))
 
-    reps = _class_representatives(g, realized, max(classes) + 1, starts,
-                                  states, step, good, pre)
+    count = max(classes) + 1
     # checked on the edges, so that commands that never walk the cover
     # do not build its index
     if len({(e.dst, e.label) for e in edges}) < len(edges):
         raise CoverInvariantError("cover is not left-resolving")
     has_out = {e.src for e in edges}
     has_in = {e.dst for e in edges}
-    for i in range(len(reps)):
+    for i in range(count):
         if i not in has_out or i not in has_in:
             raise CoverInvariantError(f"class {i + 1} is stranded")
-    return KriegerCover(g, reps, tuple(sorted(
-        edges, key=lambda e: (e.src, e.dst, e.label))), realized, prepend)
+    return KriegerCover(g, count, tuple(sorted(
+        edges, key=lambda e: (e.src, e.dst, e.label))), realized, prepend,
+        cands, pre)
 
 
 def stabilization_level(cover: KriegerCover) -> int:

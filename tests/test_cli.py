@@ -12,6 +12,20 @@ from conftest import CHAIN_TEXT, EVEN_TEXT, GOLDEN_TEXT
 from test_krieger import EVEN_PUBLISHED_MATRIX, permutation_equivalent
 
 FULL2_TEXT = "alphabet 0 1\n"
+# a class of this shift has no ray u v^inf with |u| + |v| <= 4
+LONG_RAY_TEXT = """\
+alphabet 0 1
+vertex v0
+vertex v1
+vertex v2
+vertex v3
+edge v0 v1 0
+edge v0 v1 1
+edge v1 v3 0
+edge v1 v2 1
+edge v2 v3 1
+edge v3 v0 1
+"""
 FULL3_TEXT = "alphabet 0 1 2\n"
 BROKEN_TEXT = "alphabet 0 1\nvertex a\nedge a a 0\nedge a c 1\n"
 # not right-resolving, with vertex names that joined by commas name two
@@ -446,11 +460,35 @@ class TestResourceLimits:
                                          " ".join("1" * 18))
 
     def test_pair_state_cap_exits_2(self, write, capsys, monkeypatch):
+        # the chain stores 3 candidates and explores the one state (V, ∅)
         import soficshift.krieger as kr
-        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 9)
-        assert main(["cover", write("even.shift", EVEN_TEXT)]) == 2
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 7)
+        assert main(["cover", write("chain.shift", CHAIN_TEXT)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: pair graph exceeds 9 stored vertices: 4 pair states "
-            "of 2 vertices each are stored\n")
+            "error: pair graph exceeds 7 stored vertices: 3 pair states "
+            "of 2 vertices each are stored (realized sets)\n")
+
+    def test_representative_cap_leaves_no_output(self, write, capsys,
+                                                 monkeypatch, tmp_path):
+        # the closure decides all 9 candidates of 4 vertices, so the
+        # realized sets fit under a cap of 59 stored vertices; the class
+        # of (1 1)^inf preceded by 1 1 1 0 has no short ray, and the walk
+        # for it stores 6 pair states more, 15 in all
+        import soficshift.krieger as kr
+        path, dot = write("long_ray.shift", LONG_RAY_TEXT), tmp_path / "c.dot"
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 60)
+        assert main(["cover", path]) == 0
+        assert 'E7: rep = "1110" ("11")^inf' in \
+            capsys.readouterr().out
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 59)
+        assert main(["ktheory", path]) == 0
+        capsys.readouterr()
+        assert main(["cover", path, "--dot", str(dot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: pair graph exceeds 59 stored vertices: 14 pair states "
+            "of 4 vertices each are stored (representatives)\n")
+        assert not dot.exists()

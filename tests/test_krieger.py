@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+from array import array
 from collections import deque
 
 import pytest
@@ -261,7 +262,9 @@ def check_against_semigroup(g):
 # build_cover as it was before the cover stored its vertex sets as
 # bitmasks: the realized sets, the past partition, the prepend map and
 # the representatives over frozensets of vertex indices.  It shares the
-# pair graph and the ray helpers with build_cover.
+# pair graph and the ray helpers with build_cover, but explores the pair
+# graph from every candidate, as build_cover did before the realized
+# sets were closed from the periodic ones.
 
 def set_key(c):
     # canonical order on vertex sets: cardinality, then sorted indices
@@ -274,6 +277,17 @@ def mask_set(mask):
 
 def set_mask(c):
     return sum(1 << v for v in c)
+
+
+def full_pair_graph(g):
+    """The pair graph from the state (D, V∖D) of every candidate D:
+    (starts, states, step, good), where starts maps each realized
+    candidate to its state's index."""
+    cands, _ = kr._candidates(g)
+    states, step, good = kr._pair_graph(g, kr._roots(g, cands), 0,
+                                        "reference")
+    starts = {d: i for i, d in enumerate(cands) if good[i]}
+    return starts, states, step, good
 
 
 def slow_survivor_family(g, masks):
@@ -352,7 +366,7 @@ def slow_cover(h):
     """The frozenset construction on the conditioned presentation h:
     (blocks, block_of, pre_map, canonical sets, representatives,
     edges)."""
-    starts, states, step, good, _ = kr._pair_graph(h)
+    starts, states, step, good = full_pair_graph(h)
     realized, pre = slow_survivor_family(h, starts)
     blocks = slow_past_partition(h, realized)
     block_of = {c: i for i, block in enumerate(blocks) for c in block}
@@ -664,26 +678,30 @@ class TestRealizedSets:
         bound = len(transition_semigroup(g))
         assert sets == realized_survivor_sets_bruteforce(g, bound)
 
-    def test_pair_state_cap_weighs_states_by_vertices(self, monkeypatch,
-                                                      even_graph):
-        # the even shift's pair graph has 5 states of 2 vertices each
+    def test_pair_state_cap_weighs_states_by_vertices(self, monkeypatch):
+        # the chain's candidates are V, {p} and {q}; no period of length
+        # 1 or 2 decides V, whose pair graph holds the one state (V, ∅):
+        # 4 pair states of 2 vertices each
         import soficshift.krieger as kr
-        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 10)
-        assert len(realized_survivor_sets(even_graph)[0]) == 3
-        assert build_cover(even_graph).class_count == 3
-        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 9)
+        chain = make_chain()
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 8)
+        assert len(realized_survivor_sets(chain)[0]) == 2
+        assert len(build_cover(chain).representatives) == 2
+        monkeypatch.setattr(kr, "PAIR_STATE_CAP", 7)
         for build in (realized_survivor_sets, build_cover):
             with pytest.raises(ResourceLimitError,
-                               match="pair graph exceeds 9 stored "
-                                     "vertices: 4 pair states of 2 "
-                                     "vertices"):
-                build(even_graph)
+                               match=r"pair graph exceeds 7 stored "
+                                     r"vertices: 3 pair states of 2 "
+                                     r"vertices each are stored "
+                                     r"\(realized sets\)"):
+                build(chain)
         # a move that merges a track from V∖D into one from D is barred:
-        # this golden-mean presentation has 4 pair states, not 6
+        # this golden-mean presentation's pair graph from every
+        # candidate has 4 pair states, not 6
         golden = LabeledGraph(Alphabet(["0", "1"]), ["v0", "v1"],
                               [(0, 0, 0), (0, 1, 1), (1, 0, 0)])
         monkeypatch.setattr(kr, "PAIR_STATE_CAP", 8)
-        assert build_cover(golden).class_count == 2
+        assert len(full_pair_graph(golden)[1]) == 4
 
     def test_build_never_builds_the_semigroup(self, monkeypatch):
         import soficshift.semigroup as sm
@@ -734,27 +752,133 @@ class TestCandidatePreimageTable:
         for name, g in random_presentations(seed=318):
             h = make_right_resolving(trim_essential(g))
             n, full, k = h.vertex_count, h.full_mask(), len(h.alphabet)
-            _, states, _, _, pre = kr._pair_graph(h)
-            candidates = len(pre) // k
+            cands, pre = kr._candidates(h)
+            candidates = len(cands)
             assert len(pre) == candidates * k
-            assert states[0] == full << n
+            assert cands[0] == full
+            assert len(set(cands)) == candidates and 0 not in cands
+            assert list(kr._roots(h, cands)) == [d << n | full ^ d
+                                                 for d in cands]
             for i in range(candidates):
-                d = states[i] >> n
-                assert states[i] == d << n | full ^ d, name
+                d = cands[i]
                 for a in h.alphabet:
                     p, j = h.predecessors(a, d), pre[i * k + a]
                     if p:
                         assert 0 <= j < candidates, (name, i, a)
-                        assert states[j] >> n == p, (name, i, a)
+                        assert cands[j] == p, (name, i, a)
                     else:
                         assert j == -1, (name, i, a)
             for length in (1, 2, 3):
                 for v in itertools.product(h.alphabet, repeat=length):
                     j = kr._pre_fixpoint(pre, k, v)
-                    mask = states[j] >> n if j >= 0 else 0
+                    mask = cands[j] if j >= 0 else 0
                     assert mask == kr._period_fixpoint(h, v), (name, v)
                     empty_fixpoints += j < 0
         assert empty_fixpoints > 0
+
+
+def full_pair_graph_family(g):
+    """Slow reference for the realized sets, sharing no code with
+    ``krieger``: the pair graph explored from (D, V∖D) for every
+    candidate D (V closed under nonempty letter preimages), with D
+    realized when that state reaches a (P, ∅) whose P can move
+    forever.  A move by letter a needs an a-edge at every vertex of P
+    and disjoint images of P and Q."""
+    full, letters = g.full_mask(), list(g.alphabet)
+    cands, todo = {full}, [full]
+    while todo:
+        d = todo.pop()
+        for a in letters:
+            p = g.predecessors(a, d)
+            if p and p not in cands:
+                cands.add(p)
+                todo.append(p)
+    moves, todo = {}, [(d, full ^ d) for d in cands]
+    while todo:
+        p, q = state = todo.pop()
+        if state in moves:
+            continue
+        moves[state] = []
+        for a in letters:
+            if all(g.successors(a, 1 << v) for v in mask_set(p)):
+                p2, q2 = g.successors(a, p), g.successors(a, q)
+                if not p2 & q2:
+                    moves[state].append((p2, q2))
+                    todo.append((p2, q2))
+    # the (P, ∅) that can move forever, then every state reaching one
+    alive = {s for s in moves if not s[1]}
+    while True:
+        keep = {s for s in alive if any(t in alive for t in moves[s])}
+        if keep == alive:
+            break
+        alive = keep
+    good = set(alive)
+    while True:
+        more = {s for s in moves if any(t in good for t in moves[s])}
+        if more <= good:
+            break
+        good |= more
+    return frozenset(mask_set(d) for d in cands if (d, full ^ d) in good)
+
+
+def trimmed_rr(gseed, n, k):
+    from test_letter_gathers import rr_graph
+    return make_right_resolving(trim_essential(rr_graph(gseed, n, k)))
+
+
+class TestPeriodicClosure:
+    """The realized sets from the closure of the periodic survivor sets
+    against the pair graph from every candidate."""
+
+    def test_corpus_and_random_presentations(self):
+        graphs = corpus_graphs() + [
+            item for seed in range(319, 324)
+            for item in random_presentations(seed=seed)]
+        for name, g in graphs:
+            h = make_right_resolving(trim_essential(g))
+            want = full_pair_graph_family(h)
+            assert realized_survivor_sets(h)[0] == want, name
+            assert frozenset(c for block in build_cover(g).class_sets
+                             for c in block) == want, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(GENERATED_SHAPES)
+    def test_generated_presentations(self, shape):
+        h = make_right_resolving(generated_graph(shape))
+        assert realized_survivor_sets(h)[0] == full_pair_graph_family(h)
+
+    def test_every_set_left_open(self):
+        # no period of length 1 or 2 is emitted, so the pair graph
+        # decides each of the 95 realized sets
+        h = trimmed_rr(6, 26, 2)
+        assert not any(kr._period_fixpoint(h, v) for length in (1, 2)
+                       for v in itertools.product(h.alphabet,
+                                                  repeat=length))
+        want = full_pair_graph_family(h)
+        assert len(want) == 95
+        assert realized_survivor_sets(h)[0] == want
+
+    def test_mutation_unrealized_seed(self, monkeypatch):
+        # seeding the closure with an unrealized candidate adds sets
+        h = trimmed_rr(104, 14, 2)
+        want = full_pair_graph_family(h)
+        cands, _ = kr._candidates(h)
+        assert (len(cands), len(want)) == (110, 95)
+        bad = next(i for i, d in enumerate(cands)
+                   if mask_set(d) not in want)
+        fixpoint = kr._pre_fixpoint
+        monkeypatch.setattr(kr, "_pre_fixpoint", lambda pre, k, v: (
+            bad if v == (0,) else fixpoint(pre, k, v)))
+        assert realized_survivor_sets(h)[0] > want
+
+    def test_mutation_open_candidates_unexplored(self, monkeypatch):
+        # without the pair graph no open candidate is realized
+        h = trimmed_rr(6, 26, 2)
+        want = full_pair_graph_family(h)
+        monkeypatch.setattr(kr, "_pair_graph", lambda g, roots, held,
+                            stage: ([], array("q"),
+                                    bytearray(len(list(roots)))))
+        assert realized_survivor_sets(h)[0] < want
 
 
 class TestPastPartition:

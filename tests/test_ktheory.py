@@ -284,8 +284,7 @@ class TestUnitElimination:
         # a class no edge enters is no state of the in-amalgamation; a
         # state for it would add a Z to both groups
         extra = dataclasses.replace(
-            even_cover, representatives=even_cover.representatives
-            + even_cover.representatives[:1])
+            even_cover, class_count=even_cover.class_count + 1)
         assert extra.class_count == even_cover.class_count + 1
         assert k_groups(extra) == k_groups(edge_matrix(extra)) \
             == k_groups(even_cover)
