@@ -60,7 +60,6 @@ only the second and the third:
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
 from .krieger import CoverIndex, KriegerCover, _bits, unique_labeled_path
@@ -553,22 +552,11 @@ def evaluate_projection_formula(cover: KriegerCover,
                                 positive: Iterable[Word],
                                 negative: Iterable[Word]) -> ClopenSet:
     """Evaluate the product of post images and complemented post
-    images as a clopen set."""
-    return _formula_product(
-        cover, (post_image(cover, w) for w in positive),
-        (post_image(cover, w).complement() for w in negative))
-
-
-def _formula_product(cover: KriegerCover, images: Iterable[ClopenSet],
-                     complements: Iterable[ClopenSet]) -> ClopenSet:
-    # the product of a projection formula from its factors: the post
-    # images of the positive words, then the complemented post images
-    # of the negative words.  Each factor has depth 0 over this cover,
-    # so the product is one AND of their masks.
+    images as a clopen set: one AND of their class masks, since each
+    post image has depth 0."""
     mask = (1 << cover.class_count) - 1
-    for factor in chain(images, complements):
-        if factor.depth or factor.cover is not cover:
-            raise ValueError("formula factor is not a depth-0 set over "
-                             "this cover")
-        mask &= factor.masks.get(EPSILON, 0)
+    for w in positive:
+        mask &= _word_mask(cover, w)
+    for w in negative:
+        mask &= ~_word_mask(cover, w)
     return _at_word(cover, EPSILON, mask)

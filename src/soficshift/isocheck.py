@@ -173,15 +173,17 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
     """The word-indexed families over all admissible words up to
     ``max_len``, by a dynamic program over (length, scan state).
 
-    A word's core is the relation route's preimage of every realized
-    survivor set, extended one letter at a time through the prepend
-    map, and the graph route's backward map (end class -> source class
-    of the unique path).  The backward map also gives the forward path
-    ends: both start at every class, and a letter keeps a class exactly
-    when one of its sources on that letter is kept.  A letter step of
-    the preimages is a gather by the prepend map; where the letter has
-    one in-edge source table (every letter of a left-resolving cover),
-    so is the step of the backward map, and no two paths meet.  Its
+    A word's core is the relation route's map from each class to the
+    class of the word's preimage of its sets (-1 if that is empty),
+    extended one letter at a time through the class-indexed prepend
+    table, and the graph route's backward map (end class -> source
+    class of the unique path).  The backward map also gives the
+    forward path ends: both start at every class, and a letter keeps a
+    class exactly when one of its sources on that letter is kept.  A
+    letter step of the relation map is a gather by the prepend table;
+    where the letter has one in-edge source table (every letter of a
+    left-resolving cover), so is the step of the backward map, and no
+    two paths meet.  On an intact cover the two maps are equal.  Its
     scan state adds the class where two paths labeled the word end, if
     any.  Every word-indexed check depends only on the scan state, so
     it is decided once per (length, state) pair and counted once per
@@ -211,37 +213,37 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
         raise ValueError("word length must be nonnegative")
     rec = _Recorder()
     m = cover.class_count
-    realized, prepend = cover.realized, cover.prepend
+    prepend = cover.prepend
     index = cover.index
     sources = index.sources
     per_word = not index.left_resolving
     letters = list(cover.alphabet)
-    # core id -> (preimage per slot of cover.realized, back (-1: no
-    # path), relation classes, path classes), the last two as bitmasks
-    # over classes; slot i < m holds class i's canonical set.  A core
-    # is keyed by its first two fields, which fix the other two.
+    # core id -> (relation map, back, relation classes, path classes):
+    # per class the class of the preimage and the source class of the
+    # path (-1: none), then the classes where each is defined as
+    # bitmasks.  A core is keyed by its first two fields, which fix the
+    # other two.
     cores: list[tuple] = []
     ids: dict[tuple, int] = {}
     steps: dict[tuple[int, int], tuple[int | None, int | None]] = {}
 
-    def core(P: tuple, back: tuple) -> int | None:
-        key = (P, back)
+    def core(rel: tuple, back: tuple) -> int | None:
+        key = (rel, back)
         if key not in ids:
-            a_set = sum(1 << i for i in range(m) if P[i])
+            a_set = sum(1 << i for i, p in enumerate(rel) if p >= 0)
             b_set = sum(1 << i for i, s in enumerate(back) if s >= 0)
             if not a_set and not b_set:
                 return None
             ids[key] = len(cores)
-            cores.append((P, back, a_set, b_set))
+            cores.append((rel, back, a_set, b_set))
         return ids[key]
 
     def step(cid: int, a: int) -> tuple[int | None, int | None]:
         # the core after letter a (None if pruned), and the class where
-        # two paths meet on a, the last such in edge order.  A slot or
-        # class without a preimage or source on a reads the appended 0
-        # or -1.
+        # two paths meet on a, the last such in edge order.  A class
+        # without a preimage or source on a reads the appended -1.
         if (cid, a) not in steps:
-            P, back = cores[cid][:2]
+            rel, back = cores[cid][:2]
             tables = sources.get(a, ())
             met = None
             if len(tables) < 2:
@@ -258,14 +260,15 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                             met = (live[-1], dst)
                 back2 = tuple(back2)
             steps[cid, a] = (
-                core(tuple(map((P + (0,)).__getitem__, prepend[a])), back2),
+                core(tuple(map((rel + (-1,)).__getitem__, prepend[a])),
+                     back2),
                 None if met is None else met[1])
         return steps[cid, a]
 
     # (core, ambiguous class, word up to clopen_len on a cover that is
     # not left-resolving) -> [word count, least word, post image of the
     # least word up to clopen_len, else None]
-    start = core(tuple(realized), tuple(range(m)))
+    start = core(tuple(range(m)), tuple(range(m)))
     everything = (1 << m) - 1
     frontier: dict[tuple, list] = {
         (start, None, EPSILON): [1, EPSILON, everything]}
@@ -294,7 +297,7 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                           for (cid, _, _), (n, w, lhs) in nxt.items()])
 
         for (cid, amb, _), (n, w, lhs) in nxt.items():
-            P, back, a_set, b_set = cores[cid]
+            rel, back, a_set, b_set = cores[cid]
 
             # witnesses are callables, rendered only when kept
             if amb is not None:
@@ -304,24 +307,20 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
                         f"end at E{amb + 1}"))
 
             # word_path_equivalence: existence and source class of
-            # the unique path against the iterated prepend
+            # the unique path against the iterated prepend, two maps
+            # that are equal on an intact cover
             rec.count("word_path_equivalence", m * n)
-            for i in range(m):
-                amask = P[i]
-                if bool(amask) != (back[i] >= 0):
+            for i, (p, s) in enumerate(zip(rel, back) if rel != back else ()):
+                if (p >= 0) != (s >= 0):
                     rec.fail("word_path_equivalence", lambda: (
                         f"word {_word_str(cover, w)}, class "
                         f"E{i + 1}: path "
-                        f"{'missing' if amask else 'spurious'}"))
-                elif amask:
-                    blk = realized.get(amask)
-                    if blk != back[i]:
-                        got = ("not realized" if blk is None
-                               else f"E{blk + 1}")
-                        rec.fail("word_path_equivalence", lambda: (
-                            f"word {_word_str(cover, w)} into "
-                            f"E{i + 1}: path source "
-                            f"E{back[i] + 1}, prepend lands in {got}"))
+                        f"{'missing' if p >= 0 else 'spurious'}"))
+                elif p != s:
+                    rec.fail("word_path_equivalence", lambda: (
+                        f"word {_word_str(cover, w)} into "
+                        f"E{i + 1}: path source "
+                        f"E{s + 1}, prepend lands in E{p + 1}"))
 
             # shifted_cylinder_classes (the classes the word can
             # precede) and labeled_path_ranges (its forward path ends)
@@ -366,13 +365,12 @@ def _scan_words(cover: KriegerCover, max_len: int, clopen_len: int,
 def _derived_splits(cover: KriegerCover) -> list[set[tuple[int, int]]]:
     """Per class, the (letter, target class) split derived from the
     survivor-set prepend map, independent of the cover's edges."""
-    m = cover.class_count
-    classes = list(cover.realized.values())
-    splits: list[set[tuple[int, int]]] = [set() for _ in range(m)]
+    splits: list[set[tuple[int, int]]] = [
+        set() for _ in range(cover.class_count)]
     for a, row in zip(cover.alphabet, cover.prepend):
-        for i, p in enumerate(row[:m]):
+        for i, p in enumerate(row):
             if p >= 0:
-                splits[classes[p]].add((a, i))
+                splits[p].add((a, i))
     return splits
 
 
@@ -627,11 +625,10 @@ def _check_edge_sum_structural(cover: KriegerCover, rec: _Recorder) -> None:
 def _check_round_trips(cover: KriegerCover, rec: _Recorder) -> None:
     # letter_roundtrip: ranges of the edges carrying each letter equal
     # the classes the letter can be prepended to
-    classes = list(cover.realized.values())
     for a, row in zip(cover.alphabet, cover.prepend):
         rec.count("letter_roundtrip")
         b_side = {e.dst for e in cover.edges if e.label == a}
-        a_side = {i for i, p in zip(classes, row) if p >= 0}
+        a_side = {i for i, p in enumerate(row) if p >= 0}
         if b_side != a_side:
             rec.fail(
                 "letter_roundtrip",

@@ -17,6 +17,9 @@ The central objects:
   explored from their classes' canonical sets;
 * the past-equivalence partition of the realized survivor sets, by
   Moore refinement, whose blocks are the left Krieger cover's vertices;
+  a letter sends all the sets of one block into one block, so the
+  cover's prepend table maps classes to classes, and its entries are
+  the cover's edges;
 * the cover's edge matrix B, indexed by cover edges in canonical
   order, with B(e, f) = 1 exactly when the range of e is the source
   of f.
@@ -27,9 +30,10 @@ their names stay reachable from this module and load on first use.
 
 Everything is exact and finite.  A vertex set is an int bitmask over
 the presentation's vertices everywhere from the pair graph to the
-cover's tables (``KriegerCover.realized`` and ``prepend``), which the
-checks of :mod:`soficshift.isocheck` read.  Frozensets of vertex
-indices appear only at the public boundary: :func:`survivor_set`,
+cover's table of realized sets (``KriegerCover.realized``); the
+checks of :mod:`soficshift.isocheck` read the class-indexed
+``KriegerCover.prepend``.  Frozensets of vertex indices appear only
+at the public boundary: :func:`survivor_set`,
 :func:`realized_survivor_sets`, :func:`past_partition` and the views
 ``KriegerCover.class_sets`` and ``canonical_sets``.
 """
@@ -349,17 +353,17 @@ def _prepend_table(g: LabeledGraph,
                    family: list[int]) -> tuple[tuple[int, ...], ...]:
     # per letter, per set of the family, the position in the family of
     # its letter preimage, or -1 if that is empty
-    slot = {mask: k for k, mask in enumerate(family)}
-    slot[0] = -1
+    pos = {mask: k for k, mask in enumerate(family)}
+    pos[0] = -1
     table: list[list[int]] = [[] for _ in g.alphabet]
     for mask in family:
         for a, row in zip(g.alphabet, table):
             p = g.predecessors(a, mask)
-            if p not in slot:
+            if p not in pos:
                 raise CoverInvariantError(
                     f"preimage of {list(_bits(mask))} under letter {a} "
                     f"is not in the family")
-            row.append(slot[p])
+            row.append(pos[p])
     return tuple(map(tuple, table))
 
 
@@ -387,19 +391,29 @@ def _class_tables(g: LabeledGraph, masks: Iterable[int]
                   ) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
     # ``realized`` and ``prepend`` of KriegerCover for the sets masks.
     # Sorted canonically (cardinality, then sorted indices), the Moore
-    # labels are the classes in canonical order; each class's first
-    # set, its canonical set, then moves to the front.
+    # labels are the classes in canonical order, so the sets that first
+    # show each label, the canonical sets, come first and in class
+    # order.  Each letter must send all the sets of a class into one
+    # class, or all to the empty set.
     family = sorted(masks, key=lambda m: (m.bit_count(), list(_bits(m))))
     table = _prepend_table(g, family)
     labels = _moore_refinement(table, len(family))[0]
-    first: dict[int, int] = {}
-    for r, i in enumerate(labels):
-        first.setdefault(i, r)
-    order = sorted(range(len(family)), key=lambda r: first[labels[r]] != r)
-    slot = {r: j for j, r in enumerate(order)}
-    slot[-1] = -1
-    return ({family[r]: labels[r] for r in order},
-            tuple(tuple(slot[row[r]] for r in order) for row in table))
+    realized: dict[int, int] = {}
+    for mask, i in zip(family, labels):
+        if i == len(realized):
+            realized[mask] = i
+    realized.update(zip(family, labels))
+    of = labels + [-1]
+    prepend = []
+    for a, row in zip(g.alphabet, table):
+        moves = set(zip(labels, map(of.__getitem__, row)))
+        into = dict(moves)
+        if len(into) < len(moves):
+            raise CoverInvariantError(
+                f"letter {a} acts inconsistently on class "
+                f"{min(i for i, p in moves if into[i] != p) + 1}")
+        prepend.append(tuple(map(into.__getitem__, range(len(into)))))
+    return realized, tuple(prepend)
 
 
 def _class_blocks(realized: Mapping[int, int]
@@ -519,11 +533,13 @@ class KriegerCover:
     the same label enter the same class.
 
     Vertex sets are bitmasks over the vertices of ``graph``.
-    ``realized`` maps each realized survivor set to its class; its
-    position in ``realized`` is its slot, and slot i < ``class_count``
-    holds class i's canonical set, its least set by cardinality, then
-    sorted indices.  ``prepend[a][r]`` is the slot of the preimage
-    under letter a of the set in slot r, or -1 if that is empty.
+    ``realized`` maps each realized survivor set to its class, class
+    i's canonical set (its least set by cardinality, then sorted
+    indices) at position i.  ``prepend[a][i]`` is the class of the
+    preimages under letter a of class i's sets, or -1 if they are
+    empty: past equivalence makes that one class for all of them, and
+    the edges are the table's entries, one edge labeled a from
+    ``prepend[a][i]`` to i for each entry that is not -1.
     ``class_sets`` and ``canonical_sets`` are read-only views of the
     same sets as frozensets of vertex indices, for callers outside the
     package; no code in the package reads them.  ``candidates`` and
@@ -597,7 +613,11 @@ class KriegerCover:
         ranges are left out.  Found by a breadth-first search over the
         ranges from the full vertex set, letters in order; a range's
         classes are the union, over its vertices, of the classes whose
-        canonical sets hold the vertex.
+        canonical sets hold the vertex.  By past equivalence the classes
+        of the range of w a depend only on those of w and on a, so only
+        a range whose classes are new is expanded: the search takes at
+        most one step per key and letter, where the distinct ranges can
+        be exponentially many.
         """
         g = self.graph
         of_vertex = [0] * len(g.vertex_names)
@@ -606,18 +626,18 @@ class KriegerCover:
             for v in _bits(m):
                 of_vertex[v] |= 1 << c
         best: dict[int, Word] = {}
-        seen = {g.full_mask()}
         queue = deque([(g.full_mask(), EPSILON)])
         while queue:
             rng, w = queue.popleft()
             classes = 0
             for v in _bits(rng):
                 classes |= of_vertex[v]
-            best.setdefault(classes, w)
+            if classes in best:
+                continue
+            best[classes] = w
             for a in g.alphabet:
                 nxt = g.successors(a, rng)
-                if nxt and nxt not in seen:
-                    seen.add(nxt)
+                if nxt:
                     queue.append((nxt, w + (a,)))
         return MappingProxyType(best)
 
@@ -744,27 +764,10 @@ def build_cover(g: LabeledGraph) -> KriegerCover:
     g = make_right_resolving(trim_essential(g))
     cands, pre = _candidates(g)
     realized, prepend = _class_tables(g, _realized_masks(g, cands, pre))
-
-    classes = list(realized.values())
-    targets: dict[tuple[int, int], set[int | None]] = {}
-    for a, row in zip(g.alphabet, prepend):
-        for i, p in zip(classes, row):
-            targets.setdefault((i, a), set()).add(
-                None if p < 0 else classes[p])
-    edges: list[Edge] = []
-    for (i, a), srcs in sorted(targets.items()):
-        if len(srcs) > 1:
-            raise CoverInvariantError(
-                f"letter {a} acts inconsistently on class {i + 1}")
-        src = srcs.pop()
-        if src is not None:
-            edges.append(Edge(src, i, a))
-
-    count = max(classes) + 1
-    # checked on the edges, so that commands that never walk the cover
-    # do not build its index
-    if len({(e.dst, e.label) for e in edges}) < len(edges):
-        raise CoverInvariantError("cover is not left-resolving")
+    # one edge per (class, letter) entry of the table: left-resolving
+    edges = [Edge(p, i, a) for a, row in zip(g.alphabet, prepend)
+             for i, p in enumerate(row) if p >= 0]
+    count = len(prepend[0])
     has_out = {e.src for e in edges}
     has_in = {e.dst for e in edges}
     for i in range(count):
@@ -779,8 +782,11 @@ def stabilization_level(cover: KriegerCover) -> int:
     """The smallest l at which length-(at most l) past data already
     separates the past-equivalence classes: the number of rounds of
     :func:`past_partition`'s Moore refinement that split a block.
+    Counted on the class-indexed prepend table: each round's partition
+    of the sets is the pullback of that round's partition of the
+    classes, so the same rounds split a block.
     """
-    return _moore_refinement(cover.prepend, len(cover.realized))[1]
+    return _moore_refinement(cover.prepend, cover.class_count)[1]
 
 
 @dataclass(frozen=True)

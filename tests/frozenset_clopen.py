@@ -23,7 +23,7 @@ from soficshift.shiftcore import EPSILON
 ENGINE = ("ClopenSet", "word_classes", "full_space", "empty_set",
           "class_projection", "cylinder", "post_image", "conj_by_letter",
           "shift_preimage", "diagonal_generator",
-          "evaluate_projection_formula", "_formula_product")
+          "evaluate_projection_formula")
 
 
 # --- scans of the whole edge tuple -----------------------------------

@@ -424,6 +424,21 @@ class TestResourceLimits:
             "pair states of 30 vertices"), proc.stderr
         assert proc.stdout == ""
 
+    def test_merging_rotation_verifies(self, write):
+        # a rotates the 30 vertices and c merges v0 into v1: one class,
+        # but 2**30 - 1 forward ranges, of which the range witness table
+        # expands only the first
+        n = 30
+        lines = ["alphabet a c"] + [f"vertex v{i}" for i in range(n)]
+        lines += [f"edge v{i} v{(i + 1) % n} a" for i in range(n)]
+        lines += ["edge v0 v1 c"] + [f"edge v{i} v{i} c"
+                                     for i in range(1, n)]
+        proc = run_limited(["verify", "--max-word-len", "1",
+                            write("merge30.shift", "\n".join(lines) + "\n")],
+                           800_000 * 1024, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("families=15 failed=0\n")
+
     def test_long_forbidden_word_refused_under_memory_limit(self, write):
         # one forbidden word of length 16 over 4 letters asks for the
         # 4**15 clean words of length 15; the cap stops at length 7

@@ -396,16 +396,17 @@ def check_against_frozenset_cover(g):
     assert list(cover.class_sets) == blocks
     assert {mask_set(mask): i for mask, i in cover.realized.items()} == \
         block_of
-    # the canonical sets, in the first slots
+    # the canonical sets, in the first positions
     assert cover.canonical_sets == canonical
     assert tuple(mask_set(mask) for mask in masks[:m]) == canonical
     assert [cover.realized[mask] for mask in masks[:m]] == list(range(m))
-    # the prepend map
+    # the prepend map: per letter, the class of the preimage of every
+    # set of each class, or -1 where that preimage is empty
     assert len(cover.prepend) == len(cover.alphabet)
-    assert all(len(row) == len(masks) for row in cover.prepend)
-    assert {(a, mask_set(masks[r])): mask_set(masks[p])
-            for a, row in enumerate(cover.prepend)
-            for r, p in enumerate(row) if p >= 0} == pre
+    assert all(len(row) == m for row in cover.prepend)
+    for a, row in enumerate(cover.prepend):
+        for c, i in block_of.items():
+            assert row[i] == block_of.get(pre.get((a, c)), -1), (a, c)
     assert cover.representatives == reps
     assert cover.edges == edges
 
@@ -956,6 +957,33 @@ class TestMooreRefinement:
             past_partition(even_graph, {frozenset({0, 1})})
 
 
+def merging_rotation(n):
+    """a rotates the n vertices and c merges v0 into v1: V is the only
+    candidate, so the cover has one class, but the forward ranges
+    δ_w(V) are all 2**n - 1 nonempty vertex sets."""
+    edges = [(v, (v + 1) % n, 0) for v in range(n)]
+    edges += [(0, 1, 1)] + [(v, v, 1) for v in range(1, n)]
+    return LabeledGraph(Alphabet(["a", "c"]),
+                        [f"v{v}" for v in range(n)], edges)
+
+
+class TestRangeWitnesses:
+    def test_one_step_per_key_and_letter(self, monkeypatch):
+        # the classes of the range of w a depend only on those of w and
+        # on a, so only a range with new classes is expanded
+        cover = build_cover(merging_rotation(12))
+        calls = []
+        real = LabeledGraph.successors
+
+        def successors(self, a, mask):
+            calls.append(mask)
+            return real(self, a, mask)
+
+        monkeypatch.setattr(LabeledGraph, "successors", successors)
+        assert dict(cover.range_witnesses) == {1: ()}
+        assert len(calls) <= len(cover.range_witnesses) * 2
+
+
 class TestBuildCover:
     def test_even_shift_cover(self, even_cover):
         assert even_cover.class_count == 3
@@ -976,20 +1004,31 @@ class TestBuildCover:
             assert "index" not in build_cover(g).__dict__, name
 
     def test_stranded_class_refused(self, even_graph, monkeypatch):
-        # a prepend table that sends no set into class 2 leaves the
+        # a prepend table that sends no class into class 2 leaves the
         # class without in-edges
         real = kr._class_tables
 
         def tampered(g, masks):
             realized, prepend = real(g, masks)
-            classes = list(realized.values())
             return realized, tuple(
-                tuple(-1 if r < len(classes) and classes[r] == 1 else p
-                      for r, p in enumerate(row)) for row in prepend)
+                tuple(-1 if i == 1 else p for i, p in enumerate(row))
+                for row in prepend)
 
         monkeypatch.setattr(kr, "_class_tables", tampered)
         with pytest.raises(CoverInvariantError,
                            match=r"^class 2 is stranded$"):
+            build_cover(even_graph)
+
+    def test_inconsistent_letter_action_refused(self, even_graph,
+                                                monkeypatch):
+        # a partition coarser than past equivalence: in the one block,
+        # letter 1 sends some sets of the even shift to the empty set
+        # and others to realized sets
+        monkeypatch.setattr(kr, "_moore_refinement",
+                            lambda table, n: ([0] * n, 0))
+        with pytest.raises(CoverInvariantError,
+                           match=r"^letter 1 acts inconsistently on "
+                                 r"class 1$"):
             build_cover(even_graph)
 
     def test_even_class_membership(self, even_cover):

@@ -31,8 +31,8 @@ from soficshift.isocheck import (CLOPEN_WORD_CAP, CORRUPTION_KINDS,
 from soficshift.shiftcore import EPSILON, Edge, words_of_length
 from conftest import corpus_graphs, random_corpus
 from test_krieger import random_presentations
-from test_word_scan import (recorded, slow_rounds, slow_scan_words,
-                            with_variants)
+from test_word_scan import (pull_back, recorded, slow_rounds,
+                            slow_scan_words, with_variants)
 
 
 # --- the slow references ------------------------------------------------
@@ -370,35 +370,35 @@ def scan_least_words(cover, max_len):
     """The least word of each (length, scan state) pair of the word
     scan up to ``max_len``, found word by word.
 
-    A word's state is, per realized slot, the slot that prepending the
-    word reaches (-1: none), and per class the least start of a path
-    labeled the word that ends there (-1: none), both read from the
-    cover's tables and edges directly.  Words that reach no class by
-    either route are pruned and not extended.
+    A word's state is, per class, the class of the word's preimage of
+    its canonical set (-1: empty), pulled back through the letter
+    preimages of ``cover.graph`` and looked up in ``cover.realized``,
+    and per class the least start of a path labeled the word that ends
+    there (-1: none), read from the cover's edges directly.  Words that
+    reach no class by either route are pruned and not extended.
     """
     m = cover.class_count
-    masks = list(cover.realized)
+    canonical = list(cover.realized)[:m]
     least = {}
-    level = {EPSILON: (tuple(range(len(masks))),
-                       frozenset((i, i) for i in range(m)))}
+    level = {EPSILON: frozenset((i, i) for i in range(m))}
     for k in range(1, max_len + 1):
         nxt = {}
         for word in sorted(level):
-            slots, rel = level[word]
+            rel = level[word]
             for a in cover.alphabet:
-                slots2 = tuple(slots[r] if r >= 0 else -1
-                               for r in cover.prepend[a])
+                w = word + (a,)
+                classes = tuple(
+                    cover.realized.get(pull_back(cover.graph, w, c), -1)
+                    for c in canonical)
                 rel2 = frozenset((s, e.dst) for s, t in rel
                                  for e in cover.edges
                                  if e.src == t and e.label == a)
-                if not rel2 and not any(
-                        slots2[i] >= 0 and masks[slots2[i]]
-                        for i in range(m)):
+                if not rel2 and classes == (-1,) * m:
                     continue
                 back = tuple(min((s for s, c in rel2 if c == i), default=-1)
                              for i in range(m))
-                nxt[word + (a,)] = (slots2, rel2)
-                least.setdefault((k, slots2, back), word + (a,))
+                nxt[w] = rel2
+                least.setdefault((k, classes, back), w)
         level = nxt
     return set(least.values())
 

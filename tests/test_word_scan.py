@@ -2,9 +2,10 @@
 the per-word scan it replaced.
 
 ``slow_scan_rounds`` is that scan: it visits every admissible word and
-keeps the path relation of each.  It reads ``cover.edges`` and the
-cover's mask tables of realized sets and prepends directly, never the
-cover's index.
+keeps the path relation of each.  It reads ``cover.edges``, the
+realized sets of ``cover.realized`` and the letter preimages of
+``cover.graph`` directly, never the cover's index or its prepend
+table.
 ``isocheck._scan_words`` must record the same ``checked=`` count and
 the same witness for every family, on seeded covers, intact and
 corrupted, and on generated right-resolving presentations.
@@ -32,7 +33,7 @@ WORD_FAMILIES = ("word_path_equivalence", "shifted_cylinder_classes",
 
 # --- the slow reference -------------------------------------------------
 
-def slow_scan_rounds(cover, max_len, clopen_len, pairs=None):
+def slow_scan_rounds(cover, max_len, clopen_len, pairs=None, pre=None):
     """The per-word scan: one pass over all admissible words up to
     ``max_len`` computing the word-indexed families.  After each length
     it yields the recorder so far and the path relation of every word
@@ -40,21 +41,20 @@ def slow_scan_rounds(cover, max_len, clopen_len, pairs=None):
 
     Per word the relation route keeps the backward preimage of every
     realized survivor set, extended one letter at a time through the
-    prepend map; the graph route keeps the unique backward path data
-    and the forward path ends on the cover.  If ``pairs`` is given,
-    every word met and not pruned up to ``clopen_len`` is appended to
-    it as a pair of its own, (word, 1, relation classes, post image
-    mask or ambiguity message), one list per length from the empty
-    word's.
+    letter preimages ``pre(a, mask)`` of the realized sets, by default
+    those of ``cover.graph``; the graph route keeps the unique backward
+    path data and the forward path ends on the cover.  If ``pairs`` is
+    given, every word met and not pruned up to ``clopen_len`` is
+    appended to it as a pair of its own, (word, 1, relation classes,
+    post image mask or ambiguity message), one list per length from
+    the empty word's.
     """
     rec = _Recorder()
     m = cover.class_count
     block_of_mask = dict(cover.realized)
     realized_masks = list(block_of_mask)
     class_masks = realized_masks[:m]
-    pre_mask = {(a, realized_masks[r]): realized_masks[p]
-                for a, row in zip(cover.alphabet, cover.prepend)
-                for r, p in enumerate(row) if p >= 0}
+    pre = pre or cover.graph.predecessors
     in_edges_by_label = {}
     for e in cover.edges:
         in_edges_by_label.setdefault(e.label, []).append(e)
@@ -80,8 +80,7 @@ def slow_scan_rounds(cover, max_len, clopen_len, pairs=None):
         for word, (P, back, fwd) in frontier.items():
             for a in letters:
                 w = word + (a,)
-                P2 = {mm: (P[pre_mask[(a, mm)]]
-                           if (a, mm) in pre_mask else 0)
+                P2 = {mm: P[p] if (p := pre(a, mm)) else 0
                       for mm in realized_masks}
                 back2 = {}
                 ambiguous = None
@@ -190,6 +189,14 @@ def slow_scan_rounds(cover, max_len, clopen_len, pairs=None):
 
 
 
+def pull_back(g, word, mask):
+    """The starts of the paths of ``g`` labeled ``word`` that end in
+    ``mask``."""
+    for a in reversed(word):
+        mask = g.predecessors(a, mask)
+    return mask
+
+
 def class_mask(F):
     """The classes of a depth-0 clopen set, as a bitmask."""
     return sum(1 << i for _, i in F.cells)
@@ -212,12 +219,13 @@ def slow_scan_words(cover, max_len, clopen_len, pairs=None):
     return rec
 
 
-def slow_rounds(cover, max_len, clopen_len):
+def slow_rounds(cover, max_len, clopen_len, pre=None):
     """``recorded(slow_scan_words(cover, n, clopen_len))`` for n = 1, 2,
     ..., max_len, from one pass, and the words met whose tail was
-    pruned."""
+    pruned; ``pre`` as for ``slow_scan_rounds``."""
     out, rels = [], {}
-    for rec, rels in slow_scan_rounds(cover, max_len, clopen_len):
+    for rec, rels in slow_scan_rounds(cover, max_len, clopen_len,
+                                      pre=pre):
         out.append(recorded(rec))
     pruned_tails = [w for w in rels if len(w) > 1 and w[1:] not in rels]
     return out, pruned_tails
@@ -240,28 +248,30 @@ def with_variants(name, cover):
 
 
 def tampered_even_covers():
-    """Even-shift covers whose prepend map sends one realized set to
-    the empty set and the empty set on to a realized set.  Paths and
-    preimages are closed under taking tails, so only such a map lets a
-    word outlive its pruned tail."""
+    """Even-shift covers whose class-indexed prepend table has one
+    entry moved to every other value, -1 included, each with the letter
+    preimage map on realized sets that the table stands for: a set's
+    preimage is the canonical set of the class its class is sent to,
+    or empty."""
     cover = build_cover(make_even())
-    masks = list(cover.realized)
-    empty = len(masks)  # the slot of the empty set, mask 0, in class 0
+    canonical = list(cover.realized)[:cover.class_count]
     out = []
     for a, row in zip(cover.alphabet, cover.prepend):
-        for r, p in enumerate(row):
-            if p < 0:
-                continue
-            for b in cover.alphabet:
-                for target in range(len(masks)):
-                    prepend = [list(slots) + [-1]
-                               for slots in cover.prepend]
-                    prepend[a][r] = empty
-                    prepend[b][empty] = target
-                    bad = dataclasses.replace(
-                        cover, realized={**cover.realized, 0: 0},
-                        prepend=tuple(map(tuple, prepend)))
-                    out += with_variants(f"even/{a}{masks[r]:b}{b}", bad)
+        for i, p in enumerate(row):
+            for q in range(-1, cover.class_count):
+                if q == p:
+                    continue
+                prepend = [list(r) for r in cover.prepend]
+                prepend[a][i] = q
+                bad = dataclasses.replace(
+                    cover, prepend=tuple(map(tuple, prepend)))
+
+                def pre(b, mask, prepend=prepend):
+                    c = prepend[b][cover.realized[mask]]
+                    return canonical[c] if c >= 0 else 0
+
+                out += [(name, variant, pre) for name, variant
+                        in with_variants(f"even/{a}E{i + 1}to{q}", bad)]
     return out
 
 
@@ -296,13 +306,16 @@ class TestMatchesPerWordScan:
         assert kinds == {*CORRUPTION_KINDS, "two-duplicate-labels"}
 
     def test_pruned_tails(self):
+        # On any class table a class sent to -1 stays at -1, as does a
+        # class without a path, so no word outlives its pruned tail; the
+        # scan must still match the per-word scan on every such table
         met = 0
-        for name, cover in tampered_even_covers():
-            expected, pruned_tails = slow_rounds(cover, 6, 3)
+        for name, cover, pre in tampered_even_covers():
+            expected, pruned_tails = slow_rounds(cover, 6, 3, pre)
             met += bool(pruned_tails)
             assert recorded(isocheck._scan_words(cover, 6, 3)) == \
                 expected[-1], name
-        assert met > 0
+        assert met == 0
 
     def test_ambiguity_names_the_last_meeting_in_edge_order(self, covers):
         # letter 0 enters E1 from E1 and E4 and E2 from E2 and E3: in
@@ -360,20 +373,17 @@ class TestGraphWords:
         spurious = 0
         for name, cover in covers:
             m = cover.class_count
-            masks = list(cover.realized)
+            canonical = list(cover.realized)[:m]
             pairs = []
             isocheck._scan_words(cover, 5, 5, pairs=pairs)
             for k, (_, rels) in enumerate(slow_scan_rounds(cover, 5, 0),
                                           start=1):
                 words = words_of_length(cover.graph, k)
-                # word by word, the relation classes by a prepend fold
+                # word by word, the relation classes by pulling the
+                # canonical sets back through the word
                 met = set()
                 for w in (w for w in rels if len(w) == k):
-                    slots = list(range(m))
-                    for a in reversed(w):
-                        slots = [cover.prepend[a][s] if s >= 0 else -1
-                                 for s in slots]
-                    if any(s >= 0 and masks[s] for s in slots):
+                    if any(pull_back(cover.graph, w, c) for c in canonical):
                         met.add(w)
                     else:
                         spurious += 1
